@@ -25,13 +25,10 @@ from .presentations import (
     Character,
     CharacterTuple,
     SpaceSpec,
+    _pair_list,
     free_presentation,
     surface_presentation,
 )
-
-
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +108,7 @@ def e2_trivial(g: int, n: int, block: Optional[IntMatrix] = None) -> E2Fragment:
         if len(block.rows) != 2 * g or block.ncols != 2 * g:
             raise InputError("override block must be 2g x 2g")
         diag = DiagonalClass(g, diag.e1, diag.e2, block)
-    pairs = _pairs(n)
+    pairs = _pair_list(n)
     h = 2 * g
     rank10 = h * n
     rank01 = len(pairs)
@@ -127,16 +124,13 @@ def e2_trivial(g: int, n: int, block: Optional[IntMatrix] = None) -> E2Fragment:
         "H1_%dxH1_%d" % (i + 1, j + 1) for i, j in pairs
     )
     flat = diag.block_flat()
-    cols = []
-    for col_idx, (i, j) in enumerate(pairs):
-        col = [0] * rank20
-        col[i] = diag.e1
-        col[j] = diag.e2
-        if g >= 1:
-            off = n + col_idx * h * h
-            col[off : off + h * h] = flat
-        cols.append(col)
-    rows = [[cols[c][r] for c in range(rank01)] for r in range(rank20)]
+    rows = [[0] * rank01 for _ in range(rank20)]
+    for c, (i, j) in enumerate(pairs):
+        rows[i][c] = diag.e1
+        rows[j][c] = diag.e2
+        off = n + c * h * h
+        for k, v in enumerate(flat):
+            rows[off + k][c] = v
     d2 = IntMatrix(rows, ncols=rank01)
     return E2Fragment(g, n, rank10, rank01, rank20, d2, labels01, labels20)
 
@@ -147,7 +141,7 @@ def _cstar_fragment(n: int) -> E2Fragment:
     weights of the mixed structure."""
     if n < 2:
         raise OutOfRangeError("need at least 2 strands, got %r" % n)
-    pairs = _pairs(n)
+    pairs = _pair_list(n)
     rank01 = len(pairs)
     labels01 = tuple("G_%d_%d" % (i + 1, j + 1) for i, j in pairs)
     labels20 = tuple("H1_%dxH1_%d" % (i + 1, j + 1) for i, j in pairs)
@@ -279,7 +273,7 @@ def _check_tuple(space: SpaceSpec, n: int, rho: CharacterTuple):
 
 def _trivial_pair_count(rho: CharacterTuple) -> int:
     n = rho.n_components
-    return sum(1 for i, j in _pairs(n) if rho.pair_product_trivial(i, j))
+    return sum(1 for i, j in _pair_list(n) if rho.pair_product_trivial(i, j))
 
 
 def h1_twisted_pure_braid(space: SpaceSpec, n: int, rho: CharacterTuple) -> int:
@@ -355,7 +349,7 @@ def sigma1_components(space: SpaceSpec, n: int) -> JumpLocusDescription:
                 2 * n - 2,
                 "components %d and %d are mutually inverse" % (i + 1, j + 1),
             )
-            for i, j in _pairs(n)
+            for i, j in _pair_list(n)
         )
         return JumpLocusDescription(
             "character torus of the %d-fold torus group product" % n,
@@ -370,7 +364,7 @@ def sigma1_components(space: SpaceSpec, n: int) -> JumpLocusDescription:
                 n - 1,
                 "components %d and %d are mutually inverse" % (i + 1, j + 1),
             )
-            for i, j in _pairs(n)
+            for i, j in _pair_list(n)
         )
         return JumpLocusDescription(
             "pulled back character torus of the %d-fold free rank one product"
@@ -407,7 +401,7 @@ def sigma1_membership(space: SpaceSpec, n: int, rho: CharacterTuple) -> Membersh
             if all(rho.component_trivial(j) for j in range(n) if j != i):
                 containing.append("pi_%d" % (i + 1))
     else:
-        for i, j in _pairs(n):
+        for i, j in _pair_list(n):
             if rho.pair_product_trivial(i, j):
                 containing.append("T_%d_%d" % (i + 1, j + 1))
     h1 = h1_twisted_pure_braid(space, n, rho)

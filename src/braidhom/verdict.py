@@ -291,10 +291,12 @@ def _case_genus_high(space: SpaceSpec, n: int) -> tuple[str, list[TraceStep], di
     g = space.genus
     try:
         b1 = b1_pure_braid(space, n).free_rank
+        b1_origin = "computed"
     except OutOfRangeError:
         # past the dense-arithmetic guard the witness falls back to the
         # closed form the cited statement asserts for every n
         b1 = 2 * g * n
+        b1_origin = "closed form"
     pv = pullback_vanishing(g, n, 2).value
     after = 2 * g * (n - 1)
     steps = [
@@ -310,8 +312,8 @@ def _case_genus_high(space: SpaceSpec, n: int) -> tuple[str, list[TraceStep], di
             "R4",
             "h1-iso-pullback",
             "the product of those fibrations pulls degree one cohomology "
-            "back isomorphically, matching the computed first Betti "
-            "number %d" % b1,
+            "back isomorphically, matching the %s first Betti "
+            "number %d" % (b1_origin, b1),
         ),
         _step(
             "R4",
@@ -340,6 +342,8 @@ def _case_genus_high(space: SpaceSpec, n: int) -> tuple[str, list[TraceStep], di
         ),
     ]
     witnesses = {"b1": b1, "h4_pullback": pv, "rank_after_factoring": after}
+    if b1_origin == "closed form":
+        witnesses["b1_source"] = "closed-form"
     return NOT_KAHLER, steps, witnesses
 
 

@@ -23,6 +23,8 @@ from braidhom.exactlin import (
     elementary_divisors,
     is_unimodular,
     smith_normal_form,
+    _eliminate_units,
+    _sparse_columns,
 )
 
 
@@ -142,6 +144,81 @@ class TestSmithNormalForm:
         assert (res.u @ a @ res.v) == res.d
         for x, y in zip(res.divisors, res.divisors[1:]):
             assert y % x == 0
+
+
+def random_shears(rng, n, count=12):
+    """A unimodular n x n matrix: a product of random elementary shears."""
+    rows = IntMatrix.identity(n).rows
+    for _ in range(count if n >= 2 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for k in range(n):
+            rows[i][k] += c * rows[j][k]
+    return IntMatrix(rows, ncols=n)
+
+
+class TestSparseFrontEnd:
+    """``elementary_divisors`` eliminates unit pivots sparsely before the
+    dense engine; ``smith_normal_form`` runs the dense engine alone and is
+    the oracle here."""
+
+    @pytest.mark.parametrize(
+        "a,expected",
+        [
+            (IntMatrix([], ncols=5), ()),
+            (IntMatrix([[], [], []]), ()),
+            (IntMatrix.zeros(4, 3), ()),
+            (IntMatrix([[2, 3]]), (1,)),
+            (IntMatrix([[2, 0], [0, 3]]), (1, 6)),
+            (IntMatrix([[1, 2], [3, 7]]), (1, 1)),
+            (IntMatrix([[0, 0, 0], [0, -1, 0], [0, 0, 0]]), (1,)),
+        ],
+    )
+    def test_edge_shapes(self, a, expected):
+        assert elementary_divisors(a) == expected
+        assert smith_normal_form(a).divisors == expected
+
+    def test_units_that_appear_only_after_elimination(self):
+        # the Schur complement of the corner 1 is 7 - 3 * 2 = 1
+        cols, row_index = _sparse_columns(IntMatrix([[1, 2], [3, 7]]))
+        assert _eliminate_units(cols, row_index) == 2
+        assert cols == {}
+        # no unit at all until the dense engine has reduced 2 and 3
+        cols, row_index = _sparse_columns(IntMatrix([[2, 3]]))
+        assert _eliminate_units(cols, row_index) == 0
+
+    def test_matches_dense_engine_on_random_matrices(self):
+        rng = random.Random(20011)
+        for _ in range(400):
+            m, n = rng.randint(0, 8), rng.randint(0, 8)
+            density = rng.random()
+            bound = rng.choice((1, 2, 3, 9, 40))
+            a = IntMatrix(
+                [
+                    [rng.randint(-bound, bound) if rng.random() < density else 0
+                     for _ in range(n)]
+                    for _ in range(m)
+                ],
+                ncols=n,
+            )
+            assert elementary_divisors(a) == smith_normal_form(a).divisors
+
+    def test_matches_dense_engine_on_planted_matrices(self):
+        rng = random.Random(2001)
+        for _ in range(60):
+            m, n = rng.randint(1, 9), rng.randint(1, 9)
+            chain, d = [], 1
+            for _ in range(rng.randint(0, min(m, n))):
+                d *= rng.choice((1, 1, 2, 3))
+                chain.append(d)
+            diag = IntMatrix(
+                [[chain[i] if i == j and i < len(chain) else 0 for j in range(n)]
+                 for i in range(m)],
+                ncols=n,
+            )
+            a = random_shears(rng, m) @ diag @ random_shears(rng, n)
+            assert elementary_divisors(a) == tuple(chain)
+            assert smith_normal_form(a).divisors == tuple(chain)
 
 
 class TestDeterminant:

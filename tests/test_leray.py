@@ -10,7 +10,12 @@ from braidhom.errors import (
     OutOfRangeError,
     OutOfScopeError,
 )
-from braidhom.exactlin import IntMatrix, bareiss_determinant, elementary_divisor_profile
+from braidhom.exactlin import (
+    IntMatrix,
+    bareiss_determinant,
+    elementary_divisor_profile,
+    smith_normal_form,
+)
 from braidhom.leray import (
     E2Fragment,
     b1_pure_braid,
@@ -87,6 +92,19 @@ class TestE2Fragment:
         rank, torsion = elementary_divisor_profile(f.d2)
         assert rank == f.rank01
         assert torsion == ()
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("n", [7, 9, 12, 16, 20])
+    def test_d2_injective_torsion_free_many_strands(self, g, n):
+        f = e2_trivial(g, n)
+        assert f.rank01 == n * (n - 1) // 2
+        assert elementary_divisor_profile(f.d2) == (f.rank01, ())
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_sphere_d2_torsion_is_two(self, n):
+        f = e2_trivial(0, n)
+        assert elementary_divisor_profile(f.d2) == (n, (2,))
+        assert smith_normal_form(f.d2).divisors == (1,) * (n - 1) + (2,)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_sphere_d2_rank_is_n(self, n):

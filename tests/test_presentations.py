@@ -299,6 +299,17 @@ class TestFileFormat:
         with pytest.raises(PresentationParseError):
             parse_presentation("# nothing here\n")
 
+    def test_readme_example_parses(self):
+        import pathlib
+
+        readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text().split("## File formats", 1)[1]
+        example = section.split("```")[1]
+        p = parse_presentation(example)
+        assert p.generator_names == ("a1", "b1", "a2", "b2")
+        assert p == surface_presentation(2)
+        assert p.source == "optional provenance note"
+
     def test_load_external_round_trip(self, tmp_path):
         path = tmp_path / "s2.pres"
         path.write_text(serialize_presentation(surface_presentation(2)))

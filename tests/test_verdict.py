@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from braidhom.errors import InputError, OutOfScopeError
+from braidhom.errors import InputError, OutOfRangeError, OutOfScopeError
 from braidhom.exactlin import AbelianProfile
 from braidhom.leray import b1_pure_braid, sigma1_components
 from braidhom.presentations import SpaceSpec
@@ -494,6 +494,25 @@ class TestWitnessConsistency:
         v4 = kahler_verdict(space, 4, "pure")
         locus = sigma1_components(space, 4)
         assert v4.witnesses["component_dim"] == locus.components[0].dimension
+
+
+class TestDenseGuardFallback:
+    def test_inside_guard_b1_is_computed(self):
+        v = kahler_verdict(SpaceSpec.parse("genus:2"), 32, "pure")
+        assert v.witnesses == {"b1": 128, "h4_pullback": 0, "rank_after_factoring": 124}
+        assert "computed first Betti number 128" in v.trace[1].text
+
+    def test_past_guard_b1_is_flagged_closed_form(self):
+        space = SpaceSpec.parse("genus:2")
+        with pytest.raises(OutOfRangeError):
+            b1_pure_braid(space, 33)
+        v = kahler_verdict(space, 33, "pure")
+        assert v.status == NOT_KAHLER
+        assert v.witnesses["b1"] == 132
+        assert v.witnesses["b1_source"] == "closed-form"
+        step = v.trace[1]
+        assert "first Betti number 132" in step.text
+        assert "computed" not in step.text
 
 
 class TestObstructionHelpers:
