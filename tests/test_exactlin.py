@@ -26,6 +26,7 @@ from braidhom.exactlin import (
     _eliminate_units,
     _sparse_columns,
 )
+from braidhom.verify import _random_unimodular
 
 
 def minor_gcd_oracle(a: IntMatrix) -> tuple[int, ...]:
@@ -146,17 +147,6 @@ class TestSmithNormalForm:
             assert y % x == 0
 
 
-def random_shears(rng, n, count=12):
-    """A unimodular n x n matrix: a product of random elementary shears."""
-    rows = IntMatrix.identity(n).rows
-    for _ in range(count if n >= 2 else 0):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-2, -1, 1, 2))
-        for k in range(n):
-            rows[i][k] += c * rows[j][k]
-    return IntMatrix(rows, ncols=n)
-
-
 class TestSparseFrontEnd:
     """``elementary_divisors`` eliminates unit pivots sparsely before the
     dense engine; ``smith_normal_form`` runs the dense engine alone and is
@@ -216,7 +206,7 @@ class TestSparseFrontEnd:
                  for i in range(m)],
                 ncols=n,
             )
-            a = random_shears(rng, m) @ diag @ random_shears(rng, n)
+            a = _random_unimodular(rng, m) @ diag @ _random_unimodular(rng, n)
             assert elementary_divisors(a) == tuple(chain)
             assert smith_normal_form(a).divisors == tuple(chain)
 
