@@ -3,7 +3,7 @@
 One subcommand per operation family, JSON on stdout.  All sampling runs
 through the single ``--seed`` flag and the deterministic generator in
 the cohomology module, so identical argv plus seed produce byte
-identical output in exact mode.  Every report carries an ``anchors``
+identical output.  Every report carries an ``anchors``
 array with the cited statements, resolved from the anchor table.
 
 Exit codes: 0 success, 1 a ``verify`` criterion failed, 2 usage or
@@ -53,22 +53,15 @@ _TEXT_TO_KEY = {text: key for key, text in ANCHORS.items()}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Plumbing shared by the subcommands.
-
-    ``mode`` fast results are advisory: rerunning the same argv with
-    ``--mode exact`` and the same seed is the authoritative check.
-    """
+    """Plumbing shared by the subcommands."""
 
     seed: int = DEFAULT_SEED
-    mode: str = "exact"
     output: str = "json"
     catalog: Optional[str] = None
     file: Optional[str] = None
     char_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.mode not in ("exact", "fast"):
-            raise InputError("mode must be exact or fast, got %r" % self.mode)
         if self.output not in ("json", "text"):
             raise InputError("output must be json or text")
         if not 0 <= self.seed < 2**64:
@@ -78,7 +71,6 @@ class RunConfig:
 def _config(args) -> RunConfig:
     return RunConfig(
         seed=getattr(args, "seed", DEFAULT_SEED),
-        mode=getattr(args, "mode", "exact"),
         output="json",
         catalog=getattr(args, "catalog", None),
         file=getattr(args, "file", None),
@@ -158,8 +150,7 @@ def _cmd_h1(args) -> int:
     if not config.char_path:
         raise InputError("h1 needs --char with a character JSON file")
     chi = Character.from_json(pres.alphabet, _load_json_file(config.char_path))
-    value = h1_dim(pres, chi, mode=config.mode)
-    _emit({"h1": value, "mode": config.mode, "anchors": []})
+    _emit({"h1": h1_dim(pres, chi), "mode": "exact", "anchors": []})
     return 0
 
 
@@ -394,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("h1", help="twisted first cohomology via Fox calculus")
     _add_presentation_flags(p)
     p.add_argument("--char", required=True, help="character JSON file")
-    p.add_argument("--mode", choices=("exact", "fast"), default="exact")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_h1)
 

@@ -1,10 +1,12 @@
 """Twisted cohomology of finitely presented groups in degrees 0 and 1.
 
 Everything here runs off a presentation and a coefficient system (a
-one dimensional character with cyclotomic values, or a rational matrix
+one dimensional character with values zeta_N^e, or a rational matrix
 representation).  H^0 is the joint kernel of the generator actions
 minus the identity; H^1 comes from the kernel of the Fox Jacobian of
-the relators.  Degree one needs no asphericity hypothesis: crossed
+the relators.  At a character the Jacobian has entries in Z[zeta_N],
+and its rank is taken over F_q wherever that rank is provably exact
+(see ``h1_dim``).  Degree one needs no asphericity hypothesis: crossed
 homomorphisms modulo principal ones are computed correctly from any
 presentation of the group.
 
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .cyclotomic import certified_rank
 from .errors import InputError, OutOfRangeError, PreconditionError
 from .exactlin import (
     AbelianProfile,
@@ -26,7 +29,6 @@ from .exactlin import (
     QMat,
     cokernel_profile,
     matrix_rank,
-    modular_rank,
 )
 from .presentations import (
     AdjointRep,
@@ -60,31 +62,19 @@ def abelianization(p: Presentation) -> AbelianProfile:
 # coefficient systems
 #
 # A coefficient system is either a Character (one dimensional, values
-# in a cyclotomic field) or a MatrixRep / AdjointRep (rational
-# matrices).  The two cases share a letter-level protocol assembled
-# here: dimension, the field's one, and images of single generators
-# with both signs.
+# zeta_N^e, handled through integer exponents) or a MatrixRep /
+# AdjointRep (rational matrices).  For the matrix case the images of
+# single generators with both signs are assembled once here and shared
+# by the Fox Jacobian and H^0.
 
 class _Coefficients:
-    __slots__ = ("dim", "one", "_plus", "_minus", "scalar")
+    __slots__ = ("dim", "_plus", "_minus")
 
     def __init__(self, phi):
-        if isinstance(phi, Character):
-            self.dim = 1
-            self.one = phi.context.one()
-            self.scalar = True
-            k = len(phi.alphabet)
-            self._plus = [phi.value(g) for g in range(k)]
-            self._minus = [phi.word_value(generator_word(g, -1)) for g in range(k)]
-        else:
-            self.dim = phi.dim
-            self.one = QMat.identity(phi.dim)
-            self.scalar = False
-            k = len(phi.alphabet)
-            self._plus = [phi.image(g) for g in range(k)]
-            self._minus = [
-                phi.word_value(generator_word(g, -1)) for g in range(k)
-            ]
+        self.dim = phi.dim
+        k = len(phi.alphabet)
+        self._plus = [phi.image(g) for g in range(k)]
+        self._minus = [phi.word_value(generator_word(g, -1)) for g in range(k)]
 
     def letter(self, g: int, s: int):
         return self._plus[g] if s == 1 else self._minus[g]
@@ -110,54 +100,71 @@ class FoxJacobian:
     system.
 
     ``rows`` holds a (num_relators * dim) by (num_generators * dim)
-    matrix over the coefficient field, stored as lists; the (r, j)
-    block is the Fox derivative of relator r by generator j, evaluated
-    through the coefficient system.  Its kernel is the space of
-    1-cocycles.
+    matrix; the (r, j) block is the Fox derivative of relator r by
+    generator j, evaluated through the coefficient system.  Its kernel
+    is the space of 1-cocycles.  At a character (``order`` N) each entry
+    is an element of Z[zeta_N], a mapping from exponents e to integer
+    coefficients c standing for the sum of c * zeta^e; at a matrix
+    representation (``order`` None) entries are Fractions.
     """
 
-    __slots__ = ("rows", "ncols", "num_relators", "num_generators", "dim", "one")
+    __slots__ = ("rows", "ncols", "num_relators", "num_generators", "dim", "order", "_coeff")
 
-    def __init__(self, rows, ncols, num_relators, num_generators, dim, one):
+    def __init__(self, rows, ncols, num_relators, num_generators, dim, order=None, coeff=None):
         self.rows = rows
         self.ncols = ncols
         self.num_relators = num_relators
         self.num_generators = num_generators
         self.dim = dim
-        self.one = one
+        self.order = order
+        self._coeff = coeff
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), self.ncols)
 
-    def rank(self) -> int:
+    def rank(self, upper: Optional[int] = None) -> int:
+        """Exact rank.  At a character it is taken over F_q (see
+        ``cyclotomic.certified_rank``); ``upper``, a proven upper bound,
+        lets the first residue map settle it."""
         if not self.rows or not self.ncols:
             return 0
-        return matrix_rank(self.rows, self.ncols, self.one)
+        if self.order is None:
+            return matrix_rank(self.rows, self.ncols, Fraction(1))
+        return certified_rank(self.rows, self.ncols, self.order, upper)[0]
 
     def nullity(self) -> int:
         return self.ncols - self.rank()
 
-    def modular_rank(self, q: Optional[int] = None) -> tuple[int, int]:
-        """Fast probabilistic rank for cyclotomic entries.  Can only
-        undercount; use ``rank`` for a certificate."""
-        if self.dim != 1:
-            raise InputError("modular rank applies to character coefficients")
-        if not self.rows or not self.ncols:
-            return (0, 0)
-        return modular_rank(self.rows, self.ncols, q)
+
+def _character_blocks(word, exps, order: int, k: int) -> list[dict]:
+    """Fox derivatives of ``word`` by all k generators at the character
+    with exponents ``exps`` mod ``order``.
+
+    Prefix scan on exponents: d(uv) = d(u) + chi(u) d(v) specialises,
+    letter by letter, to adding zeta^(prefix) at each positive letter
+    and subtracting zeta^(prefix after the letter) at each negative one.
+    """
+    deriv: list[dict] = [{} for _ in range(k)]
+    e = 0
+    for g, s in word.letters:
+        d = deriv[g]
+        if s == 1:
+            d[e] = d.get(e, 0) + 1
+            e = (e + exps[g]) % order
+        else:
+            e = (e - exps[g]) % order
+            d[e] = d.get(e, 0) - 1
+    return [{x: c for x, c in d.items() if c} for d in deriv]
 
 
 def _fox_blocks(word, coeff: _Coefficients, k: int):
-    """Evaluated Fox derivatives of ``word`` by all k generators.
-
-    Prefix scan: d(uv) = d(u) + phi(u) d(v) specialises, letter by
-    letter, to adding the running prefix value at each positive letter
-    and subtracting the post-letter prefix value at each negative one.
-    """
-    zero = coeff.one - coeff.one
+    """Evaluated Fox derivatives of ``word`` by all k generators at a
+    matrix representation; the same prefix scan on matrices."""
+    one = QMat.identity(coeff.dim)
+    zero = QMat.zeros(coeff.dim)
     deriv = [zero] * k
-    prefix = coeff.one
+    prefix = one
     for g, s in word.letters:
         if s == 1:
             deriv[g] = deriv[g] + prefix
@@ -175,32 +182,34 @@ def fox_jacobian(p: Presentation, phi, validated: bool = False) -> FoxJacobian:
         raise InputError("coefficient alphabet does not match the presentation")
     if not validated:
         _validate(p, phi)
-    coeff = _Coefficients(phi)
     k = p.num_generators
+    if isinstance(phi, Character):
+        rows = [
+            _character_blocks(rel, phi.exponents, phi.order, k) for rel in p.relators
+        ]
+        return FoxJacobian(rows, k, p.num_relators, k, 1, order=phi.order)
+    coeff = _Coefficients(phi)
     d = coeff.dim
     rows: list[list] = []
     for rel in p.relators:
         blocks = _fox_blocks(rel, coeff, k)
-        if coeff.scalar:
-            rows.append(blocks)
-        else:
-            for i in range(d):
-                row = []
-                for b in blocks:
-                    row.extend(b.rows[i])
-                rows.append(row)
-    one = coeff.one if coeff.scalar else Fraction(1)
-    return FoxJacobian(rows, k * d, p.num_relators, k, d, one)
+        for i in range(d):
+            row = []
+            for b in blocks:
+                row.extend(b.rows[i])
+            rows.append(row)
+    return FoxJacobian(rows, k * d, p.num_relators, k, d, coeff=coeff)
 
 
 # ---------------------------------------------------------------------------
 # dimensions
 
-def _h0_unchecked(p: Presentation, phi) -> int:
-    coeff = _Coefficients(phi)
+def _h0_unchecked(p: Presentation, phi, coeff: Optional[_Coefficients] = None) -> int:
+    if isinstance(phi, Character):
+        return 1 if phi.is_trivial else 0
+    if coeff is None:
+        coeff = _Coefficients(phi)
     k = p.num_generators
-    if coeff.scalar:
-        return 1 if all(coeff.letter(g, 1) == coeff.one for g in range(k)) else 0
     d = coeff.dim
     if k == 0:
         return d
@@ -218,25 +227,25 @@ def h0_dim(p: Presentation, phi) -> int:
     return _h0_unchecked(p, phi)
 
 
-def h1_dim(p: Presentation, phi, mode: str = "exact") -> int:
+def h1_dim(p: Presentation, phi) -> int:
     """Dimension of first cohomology with coefficients in ``phi``.
 
     Computed as dim ker(Fox Jacobian) minus the dimension of principal
-    crossed homomorphisms, dim V - h0.  ``mode`` "fast" swaps the exact
-    cyclotomic rank for a rank over a prime field with a compatible
-    root of unity; it is probabilistic (it can only overcount h1) and
-    only applies to character coefficients.
+    crossed homomorphisms, dim V - h0.
+
+    At a character the Jacobian (relators by k generators) has entries
+    in Z[zeta_N].  The coboundaries form a (1 - h0) dimensional subspace
+    of its kernel, so its rank is at most min(#relators, k - 1 + h0).
+    Its rank over F_q is a lower bound; where the two meet, as at every
+    nontrivial surface character and at generic product characters, the
+    F_q rank is exact.  Elsewhere the rank over Q(zeta_N) is read off
+    enough residue maps to F_q to be exact by a norm bound.
     """
-    if mode not in ("exact", "fast"):
-        raise InputError("mode must be exact or fast, got %r" % mode)
     _validate(p, phi)
     jac = fox_jacobian(p, phi, validated=True)
-    if mode == "fast" and jac.dim == 1 and jac.rows and jac.ncols:
-        rank = jac.modular_rank()[0]
-    else:
-        rank = jac.rank()
-    h0 = _h0_unchecked(p, phi)
+    h0 = _h0_unchecked(p, phi, jac._coeff)
     d = jac.dim
+    rank = jac.rank(upper=jac.ncols - (d - h0))
     return (jac.ncols - rank) - (d - h0)
 
 
@@ -349,7 +358,7 @@ def tangent_dim_at(p: Presentation, rho: MatrixRep) -> TangentReport:
     ad = rho.adjoint_rep()
     jac = fox_jacobian(p, ad, validated=True)
     z1 = jac.nullity()
-    h0_ad = _h0_unchecked(p, ad)
+    h0_ad = _h0_unchecked(p, ad, jac._coeff)
     h1 = z1 - (ad.dim - h0_ad)
     return TangentReport(z1, h1, h0_ad)
 

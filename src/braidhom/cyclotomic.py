@@ -1,17 +1,26 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N).
+"""Exact arithmetic in cyclotomic fields Q(zeta_N), and certified rank.
 
-Elements are polynomials in a primitive N-th root of unity with Fraction
-coefficients, reduced modulo the N-th cyclotomic polynomial.  A shared
-context object caches the minimal polynomial per N; mixing elements from
-different contexts raises.  A modular fast path maps the field into F_q
-for a prime q = 1 (mod N) and computes ranks there; it can undercount
-and is advisory only.
+Elements are polynomials in a primitive N-th root of unity with rational
+coefficients (int, or Fraction once a division has happened), reduced
+modulo the N-th cyclotomic polynomial.  A shared context object caches
+the minimal polynomial per N; mixing elements from different contexts
+raises.
+
+``certified_rank`` computes the exact rank of a matrix over Z[zeta_N]
+whose entries are given as integer combinations of powers of zeta,
+without field arithmetic.  It maps zeta to a root of unity of the same
+order in F_q for a prime q = 1 (mod N): that rank is a lower bound on
+the true rank, and when it meets an upper bound the caller can prove,
+it is the rank.  Otherwise the largest rank over enough such maps is
+exact by a norm bound.  Elimination over Q(zeta_N) with ``rank_kernel``
+is the independent route that rank is tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Sequence
 
 from .errors import ArithmeticContextError
@@ -73,8 +82,10 @@ def euler_phi(n: int) -> int:
 class CycContext:
     """Arithmetic context for Q(zeta_N).
 
-    Holds the minimal polynomial and the reduction table for powers
-    zeta^k with k up to 2*phi(N) - 2, which is what products need.
+    Holds the minimal polynomial and, built lazily one power at a time,
+    the integer coordinates of the powers zeta^k with k >= degree that
+    have been asked for.  Products are reduced by division by the monic
+    minimal polynomial, so no table of powers is needed for them.
     """
 
     _cache: dict[int, "CycContext"] = {}
@@ -94,59 +105,64 @@ class CycContext:
         self.order = n
         self.minpoly = cyclotomic_polynomial(n)
         self.degree = len(self.minpoly) - 1
-        # Reduction table: power_table[k] = zeta^(degree + k) as a vector.
-        # Covers products (degree 2d - 2) and raw powers zeta^k, k < n.
-        d = self.degree
-        top_power = max(2 * d - 2, n - 1)
-        table = []
-        if top_power >= d:
-            prev = [Fraction(-c) for c in self.minpoly[:d]]  # zeta^d
-            table.append(tuple(prev))
-            for _ in range(top_power - d):
-                shifted = [Fraction(0)] + prev[:-1]
-                lead = prev[-1]
-                if lead:
-                    for i in range(d):
-                        shifted[i] -= lead * self.minpoly[i]
-                prev = shifted
-                table.append(tuple(prev))
-        self.power_table = table
+        # nonzero low coefficients of the minimal polynomial, for reduction
+        self._tail = tuple((i, c) for i, c in enumerate(self.minpoly[:-1]) if c)
+        self._powers: dict[int, tuple[int, ...]] = {}
 
     def zero(self) -> "CycElt":
-        return CycElt(self, (Fraction(0),) * self.degree)
+        return CycElt(self, (0,) * self.degree)
 
     def one(self) -> "CycElt":
         return self.from_rational(1)
 
     def from_rational(self, q) -> "CycElt":
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(q)
+        coeffs: list = [0] * self.degree
+        coeffs[0] = q if isinstance(q, int) else Fraction(q)
         return CycElt(self, tuple(coeffs))
+
+    def power(self, k: int) -> tuple[int, ...]:
+        """Integer coordinates of zeta^k, computed on first use."""
+        k %= self.order
+        row = self._powers.get(k)
+        if row is None:
+            coeffs = [0] * max(self.degree, k + 1)
+            coeffs[k] = 1
+            row = self._powers[k] = _reduce(self, coeffs)
+        return row
 
     def zeta(self, k: int = 1) -> "CycElt":
         """zeta_N^k as a field element."""
-        k %= self.order
-        coeffs = [Fraction(0)] * max(self.degree, k + 1)
-        coeffs[k] = Fraction(1)
-        return CycElt(self, _reduce(self, coeffs))
+        return CycElt(self, self.power(k))
+
+    def from_powers(self, terms) -> "CycElt":
+        """The element sum of c * zeta^e over the (e, c) pairs of a
+        mapping from exponents to integer coefficients."""
+        acc = [0] * self.degree
+        for e, c in terms.items():
+            for i, x in enumerate(self.power(e)):
+                if x:
+                    acc[i] += c * x
+        return CycElt(self, tuple(acc))
 
     def __repr__(self):
         return "CycContext(order=%d, degree=%d)" % (self.order, self.degree)
 
 
-def _reduce(ctx: CycContext, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a coefficient list modulo the minimal polynomial."""
+def _reduce(ctx: CycContext, coeffs: list) -> tuple:
+    """Reduce a coefficient list modulo the monic minimal polynomial, by
+    long division from the top over the polynomial's nonzero terms."""
     d = ctx.degree
     if len(coeffs) <= d:
-        return tuple(coeffs) + (Fraction(0),) * (d - len(coeffs))
-    out = [Fraction(c) for c in coeffs[:d]]
-    for k in range(d, len(coeffs)):
-        c = coeffs[k]
+        return tuple(coeffs) + (0,) * (d - len(coeffs))
+    out = list(coeffs)
+    tail = ctx._tail
+    for k in range(len(out) - 1, d - 1, -1):
+        c = out[k]
         if c:
-            row = ctx.power_table[k - d]
-            for i in range(d):
-                out[i] += c * row[i]
-    return tuple(out)
+            base = k - d
+            for i, m in tail:
+                out[base + i] -= c * m
+    return tuple(out[:d])
 
 
 class CycElt:
@@ -154,7 +170,7 @@ class CycElt:
 
     __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, ctx: CycContext, coeffs: Sequence[Fraction]):
+    def __init__(self, ctx: CycContext, coeffs: Sequence[int | Fraction]):
         coeffs = tuple(coeffs)
         if len(coeffs) != ctx.degree:
             raise ValueError("coefficient vector has wrong length")
@@ -222,7 +238,7 @@ class CycElt:
             return NotImplemented
         self._check(other)
         a, b = self.coeffs, other.coeffs
-        conv = [Fraction(0)] * (2 * self.ctx.degree - 1)
+        conv = [0] * (2 * self.ctx.degree - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -239,7 +255,7 @@ class CycElt:
             raise ZeroDivisionError("inverse of zero")
         # Work over Q[x]: r0 = minpoly, r1 = self; track s only.
         r0 = [Fraction(c) for c in self.ctx.minpoly]
-        r1 = list(self.coeffs)
+        r1 = [Fraction(c) for c in self.coeffs]
         while r1 and not r1[-1]:
             r1.pop()
         s0, s1 = [Fraction(0)], [Fraction(1)]
@@ -286,7 +302,7 @@ class CycElt:
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
 
 def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
@@ -374,7 +390,7 @@ def matrix_rank(rows: list[list], ncols: int, one) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Modular fast path.
+# Certified rank through F_q.
 
 
 def is_prime(n: int) -> bool:
@@ -451,35 +467,120 @@ def cyc_to_modular(e: CycElt, q: int, root: int) -> int:
     return acc
 
 
-def modular_rank(rows: list[list[CycElt]], ncols: int, q: int | None = None) -> tuple[int, int]:
-    """Rank of a cyclotomic matrix computed in F_q.
+@lru_cache(maxsize=1024)
+def splitting_root(n: int) -> tuple[int, int]:
+    """The prime q of ``find_splitting_prime(n)`` and an element of exact
+    order n in F_q."""
+    q = find_splitting_prime(n)
+    return q, order_n_root(q, n)
 
-    Returns (rank, q).  The modular rank can only undercount the true
-    rank (a nonzero element may map to zero), so this is a fast advisory
-    check, not a proof.
-    """
-    denoms = []
-    order = 1
-    for r in rows:
-        for e in r:
-            order = e.ctx.order
-            for c in e.coeffs:
-                denoms.append(c.denominator)
-    if q is None:
-        q = find_splitting_prime(order, avoid=denoms)
-    root = order_n_root(q, order)
-    M = [[cyc_to_modular(e, q, root) for e in r] for r in rows]
+
+def _rank_mod(M: list[list[int]], ncols: int, q: int) -> int:
+    """Rank over F_q by row echelon elimination; M is overwritten."""
     rank = 0
     for col in range(ncols):
         piv = next((i for i in range(rank, len(M)) if M[i][col]), None)
         if piv is None:
             continue
         M[rank], M[piv] = M[piv], M[rank]
-        inv = pow(M[rank][col], -1, q)
-        M[rank] = [e * inv % q for e in M[rank]]
-        for i in range(len(M)):
-            if i != rank and M[i][col]:
-                f = M[i][col]
-                M[i] = [(a - f * b) % q for a, b in zip(M[i], M[rank])]
+        prow = M[rank]
+        inv = pow(prow[col], -1, q)
+        for i in range(rank + 1, len(M)):
+            row = M[i]
+            if row[col]:
+                f = row[col] * inv % q
+                M[i] = [(a - f * b) % q for a, b in zip(row, prow)]
         rank += 1
-    return rank, q
+        if rank == len(M):
+            break
+    return rank
+
+
+def _residue_maps(n: int):
+    """Ring maps Z[zeta_n] -> F_q as pairs (q, image of zeta): every
+    embedding zeta -> w^j (j a unit mod n) for q = find_splitting_prime(n),
+    then for each next prime q = 1 (mod n).  Their kernels are distinct
+    prime ideals of norm q."""
+    q, w = splitting_root(n)
+    while True:
+        for j in range(1, n + 1):
+            if gcd(j, n) == 1:
+                yield q, pow(w, j, q)
+        q = find_splitting_prime(n, lower=q + 1)
+        w = order_n_root(q, n)
+
+
+def _image(rows: list[list[dict]], q: int, w: int) -> list[list[int]]:
+    images: dict[int, int] = {}
+    M = []
+    for row in rows:
+        out = []
+        for entry in row:
+            acc = 0
+            for e, c in entry.items():
+                x = images.get(e)
+                if x is None:
+                    x = images[e] = pow(w, e, q)
+                acc += c * x
+            out.append(acc % q)
+        M.append(out)
+    return M
+
+
+def certified_rank(rows: list[list], ncols: int, order: int, upper: int | None = None) -> tuple[int, bool]:
+    """Exact rank over Q(zeta_order) of a matrix over Z[zeta_order].
+
+    Each entry is a mapping from exponents e to integer coefficients c,
+    standing for the sum of c * zeta^e.  ``upper`` is an upper bound on
+    the rank that the caller can prove (by default the smaller side of
+    the matrix).  Returns (rank, certified), where ``certified`` says
+    that the first residue map already met ``upper``.
+
+    The entries lie in Z[zeta_n] with n = order / gcd(order, every
+    exponent).  A ring map Z[zeta_n] -> F_q cannot raise the rank, so the
+    rank over F_q under zeta -> w (w of order n, q the prime of
+    ``splitting_root(n)``) is a lower bound; when it meets ``upper`` it
+    is the rank.  Otherwise the rank is the largest rank over F_q across
+    enough residue maps: if every rank-sized minor a != 0 lay in the
+    kernels of maps whose primes multiply to more than H^phi(n), so
+    would their product, and |Norm(a)| would exceed H^phi(n).  But each
+    complex conjugate of a is at most H by Hadamard's inequality, with H
+    the product of the largest row norms, each entry counted at the sum
+    of its |c|.  So that largest rank is exact.
+    """
+    nrows = len(rows)
+    bound = min(nrows, ncols) if upper is None else min(upper, nrows, ncols)
+    if bound <= 0:
+        return 0, True
+    g = order
+    for row in rows:
+        for entry in row:
+            for e in entry:
+                g = gcd(g, e)
+    n = order // g
+    if g > 1:
+        rows = [[{e // g: c for e, c in entry.items()} for entry in row] for row in rows]
+    maps = _residue_maps(n)
+    q, w = next(maps)
+    best = _rank_mod(_image(rows, q, w), ncols, q)
+    if best == bound:
+        return best, True
+    # bits of H^phi(n), from the squared row norms
+    norms = sorted(
+        (sum(sum(abs(c) for c in t.values()) ** 2 for t in row) for row in rows),
+        reverse=True,
+    )
+    h2 = 1
+    for x in norms[: min(nrows, ncols)]:
+        h2 *= max(x, 1)
+    need = -(-euler_phi(n) * (h2 - 1).bit_length() // 2)
+    have = q.bit_length() - 1
+    while have < need and best < bound:
+        q, w = next(maps)
+        best = max(best, _rank_mod(_image(rows, q, w), ncols, q))
+        have += q.bit_length() - 1
+    if best > bound:
+        raise ArithmeticError(
+            "rank over F_%d is %d, above the claimed upper bound %d" % (q, best, bound)
+        )
+    return best, False

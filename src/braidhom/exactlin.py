@@ -582,7 +582,6 @@ from .cyclotomic import (  # noqa: E402
     CycElt,
     find_splitting_prime,
     matrix_rank,
-    modular_rank,
     rank_kernel,
 )
 
@@ -601,6 +600,5 @@ __all__ = [
     "CycElt",
     "rank_kernel",
     "matrix_rank",
-    "modular_rank",
     "find_splitting_prime",
 ]

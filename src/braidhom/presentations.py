@@ -9,7 +9,7 @@ the braid group embeds faithfully.  A frozen snapshot in the test suite
 pins the derived table.
 
 Representation objects come in two flavours: one dimensional characters
-with values r * zeta_N^e in a cyclotomic field, and rational matrix
+with values zeta_N^e, stored as integer exponents, and rational matrix
 representations.  Both expose ``word_value`` / ``zero_value`` so the Fox
 calculus in :mod:`braidhom.words` can evaluate group ring elements
 through them.
@@ -485,33 +485,22 @@ def load_external(path) -> Presentation:
 # characters
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise InputError("cannot read %r as a rational number" % (value,))
-
-
 class Character:
-    """One dimensional representation with values r * zeta_N^e.
+    """One dimensional representation with values zeta_N^e.
 
-    The unit part is a root of unity of order dividing N, stored as an
-    exponent per generator; the optional radial part is a positive
-    rational per generator.  All arithmetic is exact in the cyclotomic
-    field of order N.
+    Every value is a root of unity of order dividing N, stored as an
+    exponent per generator, so relators and Fox derivatives are checked
+    and evaluated on integers.  Field elements of Q(zeta_N) are made
+    only on request, through ``value`` and ``word_value``.
     """
 
-    __slots__ = ("alphabet", "order", "exponents", "radial")
+    __slots__ = ("alphabet", "order", "exponents")
 
     def __init__(
         self,
         alphabet: Alphabet,
         order: int,
         values: Mapping[str, int] | Sequence[int] | None = None,
-        radial: Mapping[str, object] | Sequence[object] | None = None,
     ):
         if order < 1:
             raise InputError("cyclotomic order must be positive, got %r" % order)
@@ -529,25 +518,9 @@ class Character:
                     "expected %d exponents, got %d" % (k, len(values))
                 )
             exps = [int(e) for e in values]
-        if radial is None:
-            rads = [Fraction(1)] * k
-        elif isinstance(radial, Mapping):
-            rads = [Fraction(1)] * k
-            for name, r in radial.items():
-                rads[alphabet.index_of(name)] = _as_fraction(r)
-        else:
-            radial = list(radial)
-            if len(radial) != k:
-                raise InputError(
-                    "expected %d radial values, got %d" % (k, len(radial))
-                )
-            rads = [_as_fraction(r) for r in radial]
-        if any(r <= 0 for r in rads):
-            raise InputError("radial values must be positive")
         self.alphabet = alphabet
         self.order = order
         self.exponents = tuple(e % order for e in exps)
-        self.radial = tuple(rads)
 
     # -- structure
 
@@ -561,34 +534,19 @@ class Character:
 
     @property
     def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents) and all(
-            r == 1 for r in self.radial
-        )
+        return not any(self.exponents)
 
-    @property
-    def has_radial_part(self) -> bool:
-        return any(r != 1 for r in self.radial)
+    def word_exponent(self, w: Word) -> int:
+        """The exponent e, reduced mod N, with chi(w) = zeta_N^e."""
+        exps = self.exponents
+        return sum(s * exps[g] for g, s in w.letters) % self.order
 
     def value(self, gen: int | str) -> CycElt:
         i = gen if isinstance(gen, int) else self.alphabet.index_of(gen)
-        ctx = self.context
-        v = ctx.zeta(self.exponents[i])
-        if self.radial[i] != 1:
-            v = ctx.from_rational(self.radial[i]) * v
-        return v
+        return self.context.zeta(self.exponents[i])
 
     def word_value(self, w: Word) -> CycElt:
-        exp = 0
-        rad = Fraction(1)
-        for g, s in w.letters:
-            exp += s * self.exponents[g]
-            if self.radial[g] != 1:
-                rad *= self.radial[g] if s == 1 else 1 / self.radial[g]
-        ctx = self.context
-        v = ctx.zeta(exp % self.order)
-        if rad != 1:
-            v = ctx.from_rational(rad) * v
-        return v
+        return self.context.zeta(self.word_exponent(w))
 
     def zero_value(self) -> CycElt:
         return self.context.zero()
@@ -602,20 +560,10 @@ class Character:
                 "cannot rescale order %d to non-multiple %d" % (self.order, order)
             )
         f = order // self.order
-        return Character(
-            self.alphabet,
-            order,
-            [e * f for e in self.exponents],
-            self.radial,
-        )
+        return Character(self.alphabet, order, [e * f for e in self.exponents])
 
     def inverse(self) -> "Character":
-        return Character(
-            self.alphabet,
-            self.order,
-            [-e for e in self.exponents],
-            [1 / r for r in self.radial],
-        )
+        return Character(self.alphabet, self.order, [-e for e in self.exponents])
 
     def __mul__(self, other: "Character") -> "Character":
         if not isinstance(other, Character):
@@ -628,7 +576,6 @@ class Character:
             self.alphabet,
             n,
             [x + y for x, y in zip(a.exponents, b.exponents)],
-            [x * y for x, y in zip(a.radial, b.radial)],
         )
 
     def __eq__(self, other) -> bool:
@@ -637,11 +584,10 @@ class Character:
             and self.alphabet == other.alphabet
             and self.order == other.order
             and self.exponents == other.exponents
-            and self.radial == other.radial
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.order, self.exponents, self.radial))
+        return hash((self.alphabet, self.order, self.exponents))
 
     def __repr__(self) -> str:
         vals = ", ".join(
@@ -649,22 +595,15 @@ class Character:
         )
         return "Character(N=%d, %s)" % (self.order, vals)
 
-    # -- serialization, format {"N":, "values": {...}, "radial": {...}?}
+    # -- serialization, format {"N":, "values": {...}}
 
     def to_json(self) -> dict:
-        data: dict = {
+        return {
             "N": self.order,
             "values": {
                 name: e for name, e in zip(self.alphabet.names, self.exponents)
             },
         }
-        if self.has_radial_part:
-            data["radial"] = {
-                name: str(r)
-                for name, r in zip(self.alphabet.names, self.radial)
-                if r != 1
-            }
-        return data
 
     @classmethod
     def from_json(cls, alphabet: Alphabet, data: Mapping) -> "Character":
@@ -673,13 +612,15 @@ class Character:
         order = data["N"]
         if not isinstance(order, int):
             raise InputError("character N must be an integer, got %r" % (order,))
+        if "radial" in data:
+            raise InputError(
+                "character field 'radial' is not supported: character values "
+                "are roots of unity zeta_N^e"
+            )
         values = data.get("values", {})
-        radial = data.get("radial")
         if not isinstance(values, Mapping):
             raise InputError("character values must be an object")
-        if radial is not None and not isinstance(radial, Mapping):
-            raise InputError("character radial must be an object")
-        return cls(alphabet, order, values, radial)
+        return cls(alphabet, order, values)
 
 
 @dataclass(frozen=True)
@@ -694,12 +635,12 @@ class CharacterCheck:
 
 
 def validate_character(p: Presentation, chi: Character) -> CharacterCheck:
-    """Check that every relator evaluates to 1 under the character."""
+    """Check that every relator evaluates to 1 under the character, that
+    is, that its exponent sum vanishes mod N."""
     if chi.alphabet != p.alphabet:
         raise InputError("character alphabet does not match the presentation")
-    one = chi.context.one()
     for r in p.relators:
-        if chi.word_value(r) != one:
+        if chi.word_exponent(r):
             return CharacterCheck(False, r)
     return CharacterCheck(True)
 
@@ -769,13 +710,11 @@ class CharacterTuple:
                 % (len(self.components), len(factors))
             )
         exps: list[int] = []
-        rads: list[Fraction] = []
         for (off, fac), c in zip(factors, self.components):
             if len(fac.alphabet) != len(c.alphabet):
                 raise InputError("component alphabet size mismatch")
             exps.extend(c.exponents)
-            rads.extend(c.radial)
-        return Character(product.alphabet, self.order, exps, rads)
+        return Character(product.alphabet, self.order, exps)
 
     @classmethod
     def from_product_character(
@@ -790,12 +729,7 @@ class CharacterTuple:
         for off, fac in product.product_factors:
             k = len(fac.alphabet)
             comps.append(
-                Character(
-                    fac.alphabet,
-                    chi.order,
-                    chi.exponents[off : off + k],
-                    chi.radial[off : off + k],
-                )
+                Character(fac.alphabet, chi.order, chi.exponents[off : off + k])
             )
         return cls(comps)
 
@@ -850,12 +784,9 @@ def product_character(product: Presentation, *components: Character) -> Characte
             )
         order = lcm(order, c.order)
     exps: list[int] = []
-    rads: list[Fraction] = []
     for c in components:
-        scaled = c.rescale(order)
-        exps.extend(scaled.exponents)
-        rads.extend(scaled.radial)
-    return Character(product.alphabet, order, exps, rads)
+        exps.extend(c.rescale(order).exponents)
+    return Character(product.alphabet, order, exps)
 
 
 # ---------------------------------------------------------------------------

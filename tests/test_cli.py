@@ -33,16 +33,24 @@ class TestH1:
         assert code == 0
         assert json.loads(out) == {"anchors": [], "h1": 2, "mode": "exact"}
 
-    def test_fast_mode_flag_recorded(self, tmp_path, capsys):
+    def test_mode_flag_removed(self, tmp_path, capsys):
         path = write_json(tmp_path / "chi.json", NONTRIVIAL_GENUS2)
-        code, out, _ = run_cli(
-            ["h1", "--catalog", "surface:2", "--char", path, "--mode", "fast"],
-            capsys,
+        with pytest.raises(SystemExit) as exc:
+            main(["h1", "--catalog", "surface:2", "--char", path, "--mode", "exact"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--mode" in captured.err
+
+    def test_radial_character_rejected(self, tmp_path, capsys):
+        chi = dict(NONTRIVIAL_GENUS2, radial={"a1": "2"})
+        path = write_json(tmp_path / "chi.json", chi)
+        code, out, err = run_cli(
+            ["h1", "--catalog", "surface:2", "--char", path], capsys
         )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["h1"] == 2
-        assert payload["mode"] == "fast"
+        assert code == 2
+        assert out == ""
+        assert "radial" in err
 
     def test_presentation_file(self, tmp_path, capsys):
         pres = tmp_path / "free2.pres"

@@ -1,6 +1,8 @@
 """Tests for twisted cohomology dimensions, the Kunneth combinator,
 character variety counts, tangent computations, and the samplers."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from braidhom.cohomology import (
     surface_profile,
     tangent_dim_at,
 )
+from braidhom.cyclotomic import CycContext, certified_rank, matrix_rank
 from braidhom.errors import InputError, OutOfRangeError, PreconditionError
 from braidhom.exactlin import QMat
 from braidhom.presentations import (
@@ -32,7 +35,9 @@ from braidhom.presentations import (
     product_character,
     product_presentation,
     surface_presentation,
+    validate_character,
 )
+from braidhom.verify import _p2_torus_character
 
 CATALOG_IDS = [
     "surface:1",
@@ -47,6 +52,20 @@ CATALOG_IDS = [
     "product(surface:1,surface:1)",
     "product(surface:2,free:2)",
 ]
+
+
+P2_TORUS = os.path.join(os.path.dirname(__file__), "..", "data", "p2_torus.pres")
+
+
+def _exact_h1(p, chi):
+    """h1 from the rank of the Fox Jacobian over Q(zeta_N) by exact
+    elimination, with no F_q step."""
+    jac = fox_jacobian(p, chi)
+    ctx = CycContext(chi.order)
+    rows = [[ctx.from_powers(t) for t in r] for r in jac.rows]
+    rank = matrix_rank(rows, jac.ncols, ctx.one()) if rows else 0
+    h0 = 1 if chi.is_trivial else 0
+    return (jac.ncols - rank) - (1 - h0)
 
 
 class TestAbelianization:
@@ -122,17 +141,12 @@ class TestH1:
         p = catalog(spec)
         assert h1_dim(p, Character(p.alphabet, 1)) == abelianization(p).rank
 
-    def test_fast_mode_agrees_with_exact(self):
+    def test_certified_route_agrees_with_exact(self):
         p = surface_presentation(2)
         rng = seeded_rng(17)
         for _ in range(20):
             chi = random_character(p.alphabet, rng)
-            assert h1_dim(p, chi, mode="fast") == h1_dim(p, chi, mode="exact")
-
-    def test_bad_mode(self):
-        p = free_presentation(1)
-        with pytest.raises(InputError):
-            h1_dim(p, Character(p.alphabet, 1), mode="loose")
+            assert h1_dim(p, chi) == _exact_h1(p, chi)
 
     def test_unvalidated_rejected(self):
         p = parse_presentation("gens: a\nrel: a a a")
@@ -176,13 +190,6 @@ class TestFoxJacobian:
         jac = fox_jacobian(p, Character(p.alphabet, 4, {"b": 2}))
         assert jac.shape == (0, 3)
         assert jac.nullity() == 3
-
-    def test_modular_rank_character_only(self):
-        p = surface_presentation(1)
-        rep = MatrixRep(p.alphabet, [QMat.identity(2), QMat.identity(2)])
-        jac = fox_jacobian(p, rep)
-        with pytest.raises(InputError):
-            jac.modular_rank()
 
 
 class TestKunneth:
@@ -361,3 +368,135 @@ class TestSamplers:
     def test_surface_sampler_rejects_genus_zero(self):
         with pytest.raises(OutOfRangeError):
             random_surface_sl2(0, seeded_rng(0))
+
+
+class TestCertifiedRoute:
+    """The F_q certificate against exact elimination over Q(zeta_N)."""
+
+    def _check(self, p, chars):
+        routes = {True: 0, False: 0}
+        for chi in chars:
+            assert h1_dim(p, chi) == _exact_h1(p, chi), chi
+            jac = fox_jacobian(p, chi)
+            h0 = 1 if chi.is_trivial else 0
+            upper = jac.ncols - 1 + h0
+            routes[certified_rank(jac.rows, jac.ncols, chi.order, upper)[1]] += 1
+        return routes
+
+    @staticmethod
+    def _uniform(alphabet, rng, count):
+        out = [Character(alphabet, rng.randint(1, 30)) for _ in range(2)]
+        for _ in range(count):
+            n = rng.randint(2, 30)
+            out.append(Character(alphabet, n, [rng.randrange(n) for _ in alphabet.names]))
+        return out
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_surface(self, g):
+        p = surface_presentation(g)
+        routes = self._check(p, self._uniform(p.alphabet, seeded_rng(400 + g), 12))
+        assert routes[True] and routes[False]
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_product(self, g):
+        p = catalog("product(surface:%d,surface:%d)" % (g, g))
+        f = surface_presentation(g).alphabet
+        rng = seeded_rng(410 + g)
+        chars = []
+        for i in range(8):
+            n = rng.randint(2, 12)
+            a = Character(f, n, [rng.randrange(n) for _ in f.names])
+            b = Character(f, n, [rng.randrange(n) for _ in f.names])
+            pattern = i % 4
+            if pattern == 1:
+                a = Character(f, n)
+            elif pattern == 2:
+                b = a.inverse()
+            elif pattern == 3:
+                b = Character(f, n)
+            chars.append(product_character(p, a, b))
+        routes = self._check(p, chars)
+        assert routes[True] and routes[False]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_artin_pure(self, n):
+        p = catalog("artin_pure:%d" % n)
+        names = p.alphabet.names
+        rng = seeded_rng(420 + n)
+        chars = self._uniform(p.alphabet, rng, 6)
+        for _ in range(4):
+            # a local component: three pair generators on one triple of
+            # strands whose exponents sum to zero, every other one trivial
+            order = rng.randint(2, 30)
+            i, j, k = sorted(rng.sample(range(1, n + 1), 3))
+            x, y = rng.randrange(order), rng.randrange(order)
+            vals = {"A%d_%d" % (i, j): x, "A%d_%d" % (i, k): y, "A%d_%d" % (j, k): -x - y}
+            assert set(vals) <= set(names)
+            chars.append(Character(p.alphabet, order, vals))
+        routes = self._check(p, chars)
+        assert routes[True] and routes[False]
+
+    def test_p2_torus(self):
+        with open(P2_TORUS, encoding="utf-8") as fh:
+            p = parse_presentation(fh.read())
+        f = surface_presentation(1).alphabet
+        rng = seeded_rng(430)
+        chars = [
+            _p2_torus_character(p, random_character_tuple(f, 2, rng, max_order=30, pair_bias=0.5))
+            for _ in range(16)
+        ]
+        routes = self._check(p, chars)
+        assert routes[True] and routes[False]
+
+    def test_exponent_check_names_the_failing_relator(self):
+        # exponent sums against the value of each relator in Q(zeta_N)
+        p = parse_presentation("gens: a b\nrel: a b a^-1 b^-1\nrel: a a a\nrel: b b")
+        rng = seeded_rng(440)
+        rejected = 0
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            chi = Character(p.alphabet, n, [rng.randrange(n), rng.randrange(n)])
+            one = chi.context.one()
+            first_bad = next((r for r in p.relators if chi.word_value(r) != one), None)
+            check = validate_character(p, chi)
+            assert bool(check) == (first_bad is None)
+            assert check.failing_relator == first_bad
+            if first_bad is not None:
+                rejected += 1
+                with pytest.raises(PreconditionError, match=p.alphabet.format_word(first_bad)):
+                    h1_dim(p, chi)
+        assert rejected
+
+
+class TestDenseExponents:
+    """Large orders with exponents drawn uniformly mod N."""
+
+    N = 10007
+
+    @pytest.mark.parametrize("g,expected", [(1, 0), (2, 2)])
+    def test_surface_nontrivial(self, g, expected):
+        p = surface_presentation(g)
+        rng = seeded_rng(500 + g)
+        CycContext._cache.pop(self.N, None)
+        for _ in range(3):
+            exps = [rng.randrange(1, self.N) for _ in p.alphabet.names]
+            assert h1_dim(p, Character(p.alphabet, self.N, exps)) == expected
+        # the certificate decides these, so no field of degree N - 1 is built
+        assert self.N not in CycContext._cache
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_surface_trivial(self, g):
+        p = surface_presentation(g)
+        assert h1_dim(p, Character(p.alphabet, self.N)) == 2 * g
+
+    def test_product_matches_kunneth(self):
+        p = catalog("product(surface:2,surface:2)")
+        f = surface_presentation(2).alphabet
+        rng = seeded_rng(510)
+        n = 242
+        for ta, tb in [(True, True), (True, False), (False, True), (False, False)]:
+            a = Character(f, n, [0 if ta else rng.randrange(n) for _ in f.names])
+            b = Character(f, n, [0 if tb else rng.randrange(n) for _ in f.names])
+            # closed-form factor profiles: trivial (1, 4), nontrivial (0, 2)
+            prof = [(1, 4) if c.is_trivial else (0, 2) for c in (a, b)]
+            assert h1_dim(p, product_character(p, a, b)) == kunneth_h1(prof)

@@ -8,15 +8,16 @@ from hypothesis import given, settings, strategies as st
 from braidhom.cyclotomic import (
     CycContext,
     CycElt,
+    certified_rank,
     cyclotomic_polynomial,
     cyc_to_modular,
     euler_phi,
     find_splitting_prime,
     is_prime,
     matrix_rank,
-    modular_rank,
     order_n_root,
     rank_kernel,
+    splitting_root,
 )
 from braidhom.errors import ArithmeticContextError
 
@@ -227,8 +228,9 @@ class TestModularPath:
         assert val == 0
         assert cyc_to_modular(ctx.zeta(7), q, w) == pow(w, 7, q)
 
-    def test_modular_rank_agrees_with_exact(self):
+    def test_certified_rank_agrees_with_exact(self):
         import random
+        from math import lcm
 
         rng = random.Random(11)
         ctx = CycContext(6)
@@ -249,6 +251,58 @@ class TestModularPath:
                 for _ in range(m)
             ]
             exact = matrix_rank(rows, n, ctx.one())
-            fast, q = modular_rank(rows, n)
+            # clear each row's denominators: the same rank over Z[zeta]
+            int_rows = []
+            for r in rows:
+                den = lcm(*(c.denominator for e in r for c in e.coeffs))
+                int_rows.append(
+                    [
+                        {i: int(c * den) for i, c in enumerate(e.coeffs) if c}
+                        for e in r
+                    ]
+                )
+            fast, _ = certified_rank(int_rows, n, 6)
             assert fast == exact
-            assert q % 6 == 1
+        q = find_splitting_prime(6)
+        assert q % 6 == 1
+
+    def test_certified_rank_sees_past_a_bad_prime(self):
+        # entries that vanish under the first residue map but not in Z[zeta]
+        for n in (1, 6, 7):
+            q, w = splitting_root(n)
+            assert certified_rank([[{1 % n: q}]], 1, n) == (1, False)
+            if n > 1:
+                assert certified_rank([[{1: 1, 0: -w}]], 1, n) == (1, False)
+                assert certified_rank([[{1: q}, {0: 1}]], 2, n, upper=1) == (1, True)
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 10, 12])
+    def test_certified_rank_planted_deficiency(self, n):
+        import random
+
+        rng = random.Random(n)
+        ctx = CycContext(n)
+        for _ in range(12):
+            ncols = rng.randint(1, 5)
+            base = [
+                [
+                    {rng.randrange(n): rng.randint(-2, 2) for _ in range(rng.randint(0, 3))}
+                    for _ in range(ncols)
+                ]
+                for _ in range(rng.randint(1, 3))
+            ]
+            rows = [list(r) for r in base]
+            # dependent rows: sums of zeta-shifted copies of the base rows
+            for _ in range(rng.randint(0, 3)):
+                a, b = rng.choice(base), rng.choice(base)
+                s = rng.randrange(n)
+                row = []
+                for x, y in zip(a, b):
+                    t = dict(x)
+                    for e, c in y.items():
+                        t[(e + s) % n] = t.get((e + s) % n, 0) + c
+                    row.append({e: c for e, c in t.items() if c})
+                rows.append(row)
+            rng.shuffle(rows)
+            field = [[ctx.from_powers(t) for t in r] for r in rows]
+            exact = matrix_rank(field, ncols, ctx.one())
+            assert certified_rank(rows, ncols, n)[0] == exact

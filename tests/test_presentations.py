@@ -372,15 +372,11 @@ class TestCharacter:
         assert chi.word_value(p.alphabet.parse_word("a^-1")) == ctx.zeta(4)
         assert chi.word_value(Word()) == ctx.one()
 
-    def test_radial_part(self):
+    def test_radial_field_rejected(self):
         p = free_presentation(1)
-        chi = Character(p.alphabet, 4, {"a": 1}, {"a": Fraction(2)})
-        ctx = chi.context
-        # (2 zeta)^2 = -4
-        assert chi.word_value(p.alphabet.parse_word("a a")) == ctx.from_rational(-4)
-        assert chi.has_radial_part
-        with pytest.raises(InputError):
-            Character(p.alphabet, 4, {"a": 1}, {"a": Fraction(-1)})
+        data = {"N": 4, "values": {"a": 1}, "radial": {"a": "2"}}
+        with pytest.raises(InputError, match="radial"):
+            Character.from_json(p.alphabet, data)
 
     def test_trivial_and_inverse(self):
         p = surface_presentation(1)
@@ -405,11 +401,9 @@ class TestCharacter:
 
     def test_json_round_trip(self):
         p = surface_presentation(1)
-        chi = Character(p.alphabet, 8, {"a": 3}, {"b": Fraction(3, 2)})
+        chi = Character(p.alphabet, 8, {"a": 3})
         data = chi.to_json()
-        assert data["N"] == 8
-        assert data["values"] == {"a": 3, "b": 0}
-        assert data["radial"] == {"b": "3/2"}
+        assert data == {"N": 8, "values": {"a": 3, "b": 0}}
         assert Character.from_json(p.alphabet, data) == chi
 
     def test_json_rejects_garbage(self):
