@@ -15,16 +15,9 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from braidhom.cohomology import random_character_tuple, seeded_rng
-from braidhom.leray import sigma1_components, sigma1_membership
-from braidhom.presentations import SpaceSpec, free_presentation, surface_presentation
-
-
-def factor_alphabet(space: SpaceSpec):
-    if space.kind == "genus":
-        return surface_presentation(space.genus).alphabet
-    if space.kind == "c-star":
-        return free_presentation(1).alphabet
-    raise SystemExit("supported spaces: genus:g and c-star")
+from braidhom.errors import OutOfScopeError
+from braidhom.leray import factor_presentation, sigma1_components, sigma1_membership
+from braidhom.presentations import SpaceSpec
 
 
 def main() -> int:
@@ -36,13 +29,18 @@ def main() -> int:
     ap.add_argument("--max-order", type=int, default=6)
     ap.add_argument(
         "--pair-bias",
-        action="store_true",
-        help="bias the sampler toward mutually inverse pairs",
+        type=float,
+        default=0.0,
+        help="probability that a component is drawn as the inverse of an "
+        "earlier one",
     )
     args = ap.parse_args()
 
     space = SpaceSpec.parse(args.space)
-    alphabet = factor_alphabet(space)
+    try:
+        alphabet = factor_presentation(space).alphabet
+    except OutOfScopeError as exc:
+        raise SystemExit(str(exc))
     rng = seeded_rng(args.seed)
     desc = sigma1_components(space, args.n)
     print(

@@ -13,8 +13,6 @@ input error.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .anchors import ANCHORS, anchor_json
 from .cohomology import (
@@ -29,6 +27,7 @@ from .errors import BraidhomError, InputError
 from .leray import (
     b1_pure_braid,
     e2_trivial,
+    factor_presentation,
     h1_twisted_pure_braid,
     sigma1_components,
     sigma1_membership,
@@ -41,79 +40,50 @@ from .presentations import (
     catalog,
     parse_presentation,
     surface_presentation,
-    free_presentation,
 )
 from .verdict import charp_verdict, kahler_verdict
 from .verify import DEFAULT_SEED, run_criteria
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _TEXT_TO_KEY = {text: key for key, text in ANCHORS.items()}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Plumbing shared by the subcommands."""
-
-    seed: int = DEFAULT_SEED
-    output: str = "json"
-    catalog: Optional[str] = None
-    file: Optional[str] = None
-    char_path: Optional[str] = None
-
-    def __post_init__(self):
-        if self.output not in ("json", "text"):
-            raise InputError("output must be json or text")
-        if not 0 <= self.seed < 2**64:
-            raise InputError("seed must fit in 64 bits")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        output="json",
-        catalog=getattr(args, "catalog", None),
-        file=getattr(args, "file", None),
-        char_path=getattr(args, "char", None),
-    )
 
 
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _load_presentation(config: RunConfig) -> Presentation:
-    if config.catalog and config.file:
+def _read_text(path: str) -> str:
+    """The text of a user file; a file that cannot be read or is not
+    UTF-8 is an input error, not a crash."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise InputError("%s is not UTF-8 text: %s" % (path, exc))
+
+
+def _load_presentation(args) -> Presentation:
+    if args.catalog and args.file:
         raise InputError("give either --catalog or --file, not both")
-    if config.catalog:
-        return catalog(config.catalog)
-    if config.file:
-        with open(config.file, "r", encoding="utf-8") as fh:
-            return parse_presentation(fh.read())
+    if args.catalog:
+        return catalog(args.catalog)
+    if args.file:
+        return parse_presentation(_read_text(args.file))
     raise InputError("a presentation is required: --catalog or --file")
 
 
 def _load_json_file(path: str) -> dict:
+    text = _read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError("cannot read %s: %s" % (path, exc))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("%s is not valid JSON: %s" % (path, exc))
     if not isinstance(data, dict):
         raise InputError("%s must contain a JSON object" % path)
     return data
-
-
-def _factor_alphabet(space: SpaceSpec):
-    if space.kind == "genus":
-        return surface_presentation(space.genus).alphabet
-    if space.kind == "c-star":
-        return free_presentation(1).alphabet
-    raise InputError(
-        "character tuples are supported for genus and c-star spaces"
-    )
 
 
 def _anchors_from_trace(verdict) -> list:
@@ -132,8 +102,7 @@ def _anchors_from_trace(verdict) -> list:
 
 
 def _cmd_abelianize(args) -> int:
-    config = _config(args)
-    profile = abelianization(_load_presentation(config))
+    profile = abelianization(_load_presentation(args))
     _emit(
         {
             "rank": profile.rank,
@@ -145,11 +114,10 @@ def _cmd_abelianize(args) -> int:
 
 
 def _cmd_h1(args) -> int:
-    config = _config(args)
-    pres = _load_presentation(config)
-    if not config.char_path:
+    pres = _load_presentation(args)
+    if not args.char:
         raise InputError("h1 needs --char with a character JSON file")
-    chi = Character.from_json(pres.alphabet, _load_json_file(config.char_path))
+    chi = Character.from_json(pres.alphabet, _load_json_file(args.char))
     _emit({"h1": h1_dim(pres, chi), "mode": "exact", "anchors": []})
     return 0
 
@@ -171,7 +139,7 @@ def _cmd_b1(args) -> int:
 
 def _cmd_twisted(args) -> int:
     space = SpaceSpec.parse(args.space)
-    alphabet = _factor_alphabet(space)
+    alphabet = factor_presentation(space).alphabet
     rho = CharacterTuple.from_json(alphabet, _load_json_file(args.char))
     value = h1_twisted_pure_braid(space, args.n, rho)
     if space.kind == "c-star":
@@ -239,7 +207,7 @@ def _cmd_sigma1(args) -> int:
 
 def _cmd_membership(args) -> int:
     space = SpaceSpec.parse(args.space)
-    alphabet = _factor_alphabet(space)
+    alphabet = factor_presentation(space).alphabet
     rho = CharacterTuple.from_json(alphabet, _load_json_file(args.char))
     report = sigma1_membership(space, args.n, rho)
     _emit(
@@ -275,14 +243,15 @@ def _cmd_charvar(args) -> int:
 
 
 def _cmd_tangent(args) -> int:
-    config = _config(args)
-    rng = seeded_rng(config.seed)
+    if not 0 <= args.seed < 2**64:
+        raise InputError("seed must fit in 64 bits")
+    rng = seeded_rng(args.seed)
     rho = random_surface_sl2(args.genus, rng, spread=args.spread)
     report = tangent_dim_at(surface_presentation(args.genus), rho)
     _emit(
         {
             "genus": args.genus,
-            "seed": config.seed,
+            "seed": args.seed,
             "z1": report.z1,
             "h1": report.h1,
             "h0_ad": report.h0_ad,

@@ -21,15 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cyclotomic import certified_rank
+from .cyclotomic import certified_rank, matrix_rank
 from .errors import InputError, OutOfRangeError, PreconditionError
-from .exactlin import (
-    AbelianProfile,
-    IntMatrix,
-    QMat,
-    cokernel_profile,
-    matrix_rank,
-)
+from .exactlin import AbelianProfile, IntMatrix, QMat, cokernel_profile
 from .presentations import (
     AdjointRep,
     Character,

@@ -296,14 +296,6 @@ class CycElt:
             k >>= 1
         return out
 
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.coeffs[0])
-
 
 def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
     num = list(num)
@@ -418,12 +410,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def find_splitting_prime(n: int, avoid: Sequence[int] = (), lower: int = 10**6) -> int:
-    """Smallest prime q >= lower with q = 1 (mod n) not dividing any
-    ``avoid`` entry, so F_q contains an order-n root of unity."""
+def find_splitting_prime(n: int, lower: int = 10**6) -> int:
+    """Smallest prime q >= lower with q = 1 (mod n), so F_q contains an
+    order-n root of unity."""
     q = lower + (1 - lower) % n
     while True:
-        if q >= 2 and is_prime(q) and all(a % q for a in avoid if a):
+        if q >= 2 and is_prime(q):
             return q
         q += n
 
@@ -454,17 +446,6 @@ def order_n_root(q: int, n: int) -> int:
             break
         g += 1
     return pow(g, (q - 1) // n, q)
-
-
-def cyc_to_modular(e: CycElt, q: int, root: int) -> int:
-    """Image of a cyclotomic element under zeta -> root in F_q."""
-    acc = 0
-    p = 1
-    for c in e.coeffs:
-        if c:
-            acc = (acc + c.numerator * pow(c.denominator, -1, q) % q * p) % q
-        p = p * root % q
-    return acc
 
 
 @lru_cache(maxsize=1024)

@@ -78,9 +78,6 @@ class IntMatrix:
     def __hash__(self):
         return hash((self.nrows, self.ncols, tuple(map(tuple, self.rows))))
 
-    def is_zero(self) -> bool:
-        return all(all(e == 0 for e in r) for r in self.rows)
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError(
@@ -399,10 +396,6 @@ class AbelianProfile:
         if any(t < 2 for t in self.torsion):
             raise ValueError("torsion divisors must be > 1")
 
-    @property
-    def is_free(self) -> bool:
-        return not self.torsion
-
     def direct_sum(self, other: "AbelianProfile") -> "AbelianProfile":
         merged = sorted(self.torsion + other.torsion)
         # Re-chain by prime powers so divisibility holds again.
@@ -413,13 +406,6 @@ class AbelianProfile:
         for _ in range(n):
             out = out.direct_sum(self)
         return out
-
-    def describe(self) -> str:
-        parts = []
-        if self.rank:
-            parts.append("Z^%d" % self.rank if self.rank > 1 else "Z")
-        parts.extend("Z/%d" % t for t in self.torsion)
-        return " + ".join(parts) if parts else "0"
 
 
 def _rechain(divisors: list[int]) -> tuple[int, ...]:
@@ -574,17 +560,6 @@ class QMat:
         return self == QMat.identity(self.n)
 
 
-# Re-exported field arithmetic.  The cyclotomic module owns the
-# implementations; this module is the public import surface for exact
-# linear algebra, so the names are mirrored here.
-from .cyclotomic import (  # noqa: E402
-    CycContext,
-    CycElt,
-    find_splitting_prime,
-    matrix_rank,
-    rank_kernel,
-)
-
 __all__ = [
     "IntMatrix",
     "SNFResult",
@@ -596,9 +571,4 @@ __all__ = [
     "AbelianProfile",
     "cokernel_profile",
     "QMat",
-    "CycContext",
-    "CycElt",
-    "rank_kernel",
-    "matrix_rank",
-    "find_splitting_prime",
 ]

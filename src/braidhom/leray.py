@@ -22,7 +22,6 @@ from .errors import (
 )
 from .exactlin import IntMatrix, elementary_divisor_profile
 from .presentations import (
-    Character,
     CharacterTuple,
     SpaceSpec,
     _pair_list,
@@ -245,7 +244,10 @@ def b1_pure_braid(space: SpaceSpec, n: int) -> B1Report:
 # ---------------------------------------------------------------------------
 # twisted first cohomology
 
-def _factor_presentation(space: SpaceSpec):
+def factor_presentation(space: SpaceSpec):
+    """The factor group whose characters make up a tuple for ``space``:
+    the genus g surface group, or the free group of rank one for the
+    punctured plane."""
     if space.kind == "genus":
         return surface_presentation(space.genus)
     if space.kind == "c-star":
@@ -263,7 +265,7 @@ def _check_tuple(space: SpaceSpec, n: int, rho: CharacterTuple):
         raise InputError(
             "tuple has %d components for n = %d" % (rho.n_components, n)
         )
-    factor = _factor_presentation(space)
+    factor = factor_presentation(space)
     if rho.factor_alphabet != factor.alphabet:
         raise AlphabetMismatchError(
             "tuple components do not live on the factor group's alphabet"
@@ -412,25 +414,6 @@ def sigma1_membership(space: SpaceSpec, n: int, rho: CharacterTuple) -> Membersh
         rho.is_trivial,
         anchors=desc.anchors,
     )
-
-
-def sigma1_infinite_witness(n: int, k: int) -> tuple[CharacterTuple, ...]:
-    """k pairwise distinct members of the torus braid group's jump
-    locus, all in the first pair component: the first two components
-    are a character of order N and its inverse, with N running over
-    distinct cyclotomies."""
-    if n < 2:
-        raise OutOfRangeError("need at least 2 strands, got %r" % n)
-    if k < 1:
-        raise OutOfRangeError("need at least one witness, got %r" % k)
-    alphabet = surface_presentation(1).alphabet
-    out = []
-    for m in range(k):
-        order = m + 3
-        sigma = Character(alphabet, order, {"a": 1})
-        rest = [Character(alphabet, 1)] * (n - 2)
-        out.append(CharacterTuple([sigma, sigma.inverse(), *rest]))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ pins the derived table.
 
 Representation objects come in two flavours: one dimensional characters
 with values zeta_N^e, stored as integer exponents, and rational matrix
-representations.  Both expose ``word_value`` / ``zero_value`` so the Fox
-calculus in :mod:`braidhom.words` can evaluate group ring elements
-through them.
+representations with their adjoint actions.  The Fox calculus in
+:mod:`braidhom.cohomology` evaluates relators through them: characters by
+exponent sums, matrix representations through ``image`` and
+``word_value``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .cyclotomic import CycContext, CycElt
 from .errors import AlphabetMismatchError, InputError, PresentationParseError
 from .exactlin import QMat
 from .words import Alphabet, Word, commutator, generator_word
@@ -39,7 +39,6 @@ __all__ = [
     "catalog",
     "parse_presentation",
     "serialize_presentation",
-    "load_external",
     "Character",
     "CharacterTuple",
     "CharacterCheck",
@@ -89,10 +88,6 @@ class Presentation:
     @property
     def num_relators(self) -> int:
         return len(self.relators)
-
-    @property
-    def generator_names(self) -> tuple[str, ...]:
-        return self.alphabet.names
 
     def __eq__(self, other) -> bool:
         # provenance and warnings do not affect identity of the group data
@@ -466,21 +461,6 @@ def serialize_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_external(path) -> Presentation:
-    """Load a presentation file, tagging it with provenance.
-
-    The returned presentation is unvalidated beyond syntax; homological
-    gates (first Betti number checks) are applied by callers before any
-    structural conclusions are drawn from the file.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    p = parse_presentation(text)
-    if p.source is None:
-        p = Presentation(p.alphabet, p.relators, source="file %s" % path)
-    return p
-
-
 # ---------------------------------------------------------------------------
 # characters
 
@@ -490,8 +470,7 @@ class Character:
 
     Every value is a root of unity of order dividing N, stored as an
     exponent per generator, so relators and Fox derivatives are checked
-    and evaluated on integers.  Field elements of Q(zeta_N) are made
-    only on request, through ``value`` and ``word_value``.
+    and evaluated on integers.
     """
 
     __slots__ = ("alphabet", "order", "exponents")
@@ -529,10 +508,6 @@ class Character:
         return 1
 
     @property
-    def context(self) -> CycContext:
-        return CycContext(self.order)
-
-    @property
     def is_trivial(self) -> bool:
         return not any(self.exponents)
 
@@ -540,16 +515,6 @@ class Character:
         """The exponent e, reduced mod N, with chi(w) = zeta_N^e."""
         exps = self.exponents
         return sum(s * exps[g] for g, s in w.letters) % self.order
-
-    def value(self, gen: int | str) -> CycElt:
-        i = gen if isinstance(gen, int) else self.alphabet.index_of(gen)
-        return self.context.zeta(self.exponents[i])
-
-    def word_value(self, w: Word) -> CycElt:
-        return self.context.zeta(self.word_exponent(w))
-
-    def zero_value(self) -> CycElt:
-        return self.context.zero()
 
     # -- algebra
 
@@ -695,44 +660,6 @@ class CharacterTuple:
     def inverse(self) -> "CharacterTuple":
         return CharacterTuple(c.inverse() for c in self.components)
 
-    def as_product_character(self, product: Presentation) -> Character:
-        """The corresponding character on a product presentation.
-
-        The product must have exactly one factor per component, each with
-        the component alphabet's size.
-        """
-        if product.product_factors is None:
-            raise InputError("presentation carries no product structure")
-        factors = product.product_factors
-        if len(factors) != len(self.components):
-            raise InputError(
-                "tuple has %d components but the product has %d factors"
-                % (len(self.components), len(factors))
-            )
-        exps: list[int] = []
-        for (off, fac), c in zip(factors, self.components):
-            if len(fac.alphabet) != len(c.alphabet):
-                raise InputError("component alphabet size mismatch")
-            exps.extend(c.exponents)
-        return Character(product.alphabet, self.order, exps)
-
-    @classmethod
-    def from_product_character(
-        cls, chi: Character, product: Presentation
-    ) -> "CharacterTuple":
-        """Split a character on a product into its factor components."""
-        if product.product_factors is None:
-            raise InputError("presentation carries no product structure")
-        if chi.alphabet != product.alphabet:
-            raise InputError("character alphabet does not match the product")
-        comps = []
-        for off, fac in product.product_factors:
-            k = len(fac.alphabet)
-            comps.append(
-                Character(fac.alphabet, chi.order, chi.exponents[off : off + k])
-            )
-        return cls(comps)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CharacterTuple)
@@ -854,9 +781,6 @@ class MatrixRep:
             out = out * (self.images[g] if s == 1 else self._inverse(g))
         return out
 
-    def zero_value(self) -> QMat:
-        return QMat.zeros(self.dim)
-
     def adjoint_rep(self) -> "AdjointRep":
         return AdjointRep(self)
 
@@ -922,21 +846,18 @@ class AdjointRep:
     def alphabet(self) -> Alphabet:
         return self.rep.alphabet
 
-    def _ad(self, a: QMat) -> QMat:
-        ainv = a.inverse()
+    def _ad(self, a: QMat, ainv: QMat) -> QMat:
         cols = [_traceless_coords(a * b * ainv) for b in self._basis]
         rows = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
         return QMat(rows)
 
     def word_value(self, w: Word) -> QMat:
-        return self._ad(self.rep.word_value(w))
+        rep = self.rep
+        return self._ad(rep.word_value(w), rep.word_value(w.inverse()))
 
     def image(self, gen: int | str) -> QMat:
         i = gen if isinstance(gen, int) else self.alphabet.index_of(gen)
-        return self._ad(self.rep.images[i])
-
-    def zero_value(self) -> QMat:
-        return QMat.zeros(self.dim)
+        return self._ad(self.rep.images[i], self.rep._inverse(i))
 
 
 def validate_matrix_rep(p: Presentation, rep) -> CharacterCheck:
@@ -1033,26 +954,6 @@ class SpaceSpec:
         if self.real_dim is not None and self.real_dim % 2 == 0:
             return self.real_dim // 2
         return None
-
-    def describe(self) -> str:
-        if self.kind == "genus":
-            return "closed orientable surface of genus %d" % self.genus
-        if self.kind == "hyperbolic":
-            return (
-                "noncompact hyperbolic surface with free fundamental group "
-                "of rank %d" % self.free_rank
-            )
-        if self.kind == "higher-dim":
-            return "manifold of real dimension %d (base %s)" % (
-                self.real_dim,
-                self.base_kind,
-            )
-        return {
-            "sphere": "the 2-sphere",
-            "plane": "the plane",
-            "disk": "the open disk",
-            "c-star": "the punctured plane",
-        }[self.kind]
 
 
 def _parse_int(text: str) -> int:

@@ -29,7 +29,7 @@ Excluded (the characteristic p analogue of NotKahler).
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .anchors import anchor_text
 from .cohomology import abelianization
@@ -37,7 +37,6 @@ from .cyclotomic import is_prime
 from .errors import InputError, OutOfRangeError, OutOfScopeError
 from .exactlin import AbelianProfile
 from .leray import (
-    SigmaComponent,
     b1_pure_braid,
     pullback_vanishing,
     sigma1_components,
@@ -59,7 +58,6 @@ __all__ = [
     "parity_obstruction",
     "beauville_obstruction",
     "wreath_facts",
-    "sn_coinvariants",
     "charp_verdict",
 ]
 
@@ -147,34 +145,19 @@ class BeauvilleOutcome:
     anchors: tuple[str, ...]
 
 
-ComponentLike = Union[SigmaComponent, dict]
+def beauville_obstruction(dimensions: Sequence[int]) -> Optional[BeauvilleOutcome]:
+    """Scan the dimensions of the torus components of a jump locus
+    against Beauville's theorem.
 
-
-def _component_data(comp: ComponentLike) -> tuple[int, bool]:
-    if isinstance(comp, dict):
-        if "dimension" not in comp:
-            raise InputError("component dict needs a 'dimension' entry")
-        return int(comp["dimension"]), bool(comp.get("untranslated", True))
-    dim = getattr(comp, "dimension", None)
-    if dim is None:
-        raise InputError("component %r has no dimension" % (comp,))
-    # jump locus components of braid groups are subtori through the origin
-    return int(dim), bool(getattr(comp, "untranslated", True))
-
-
-def beauville_obstruction(
-    components: Sequence[ComponentLike],
-) -> Optional[BeauvilleOutcome]:
-    """Scan torus components of a jump locus against Beauville's theorem.
-
-    A dimension 2 or odd dimensional untranslated component is an
-    immediate obstruction and wins over any fibration conclusion; an
-    even component of dimension >= 4 forces a fibration onto a curve of
-    half that genus.  Dimension 0 components carry no information.
+    Jump locus components of braid groups are subtori through the
+    origin, so every component is untranslated.  A dimension 2 or odd
+    dimensional component is an immediate obstruction and wins over any
+    fibration conclusion; an even component of dimension >= 4 forces a
+    fibration onto a curve of half that genus.  Dimension 0 components
+    carry no information.
     """
-    parsed = [_component_data(c) for c in components]
-    for dim, untranslated in parsed:
-        if not untranslated or dim == 0:
+    for dim in dimensions:
+        if dim == 0:
             continue
         if dim == 2 or dim % 2 == 1:
             return BeauvilleOutcome(
@@ -183,8 +166,8 @@ def beauville_obstruction(
                 forced_genus=None,
                 anchors=("beauville-untranslated",),
             )
-    for dim, untranslated in parsed:
-        if untranslated and dim >= 4 and dim % 2 == 0:
+    for dim in dimensions:
+        if dim >= 4 and dim % 2 == 0:
             return BeauvilleOutcome(
                 kind="forced-fibration",
                 dimension=dim,
@@ -351,7 +334,7 @@ def _case_genus_one(space: SpaceSpec, n: int) -> tuple[str, list[TraceStep], dic
     locus = sigma1_components(space, n)
     count = len(locus.components)
     dim = locus.components[0].dimension
-    outcome = beauville_obstruction(locus.components)
+    outcome = beauville_obstruction([c.dimension for c in locus.components])
     steps = [
         _step(
             "R5",
@@ -608,18 +591,6 @@ class WreathReport:
     notes: tuple[str, ...]
 
 
-def sn_coinvariants(profile: AbelianProfile, n: int) -> AbelianProfile:
-    """Coinvariants of the n-fold sum of ``profile`` under permutation.
-
-    The symmetric group permutes the n summands; identifying them leaves
-    one copy of the factor, independent of n and of any ordering of the
-    factors.
-    """
-    if n < 1:
-        raise InputError("n must be at least 1, got %d" % n)
-    return AbelianProfile(profile.rank, profile.torsion)
-
-
 def _base_profile(space: SpaceSpec) -> AbelianProfile:
     if space.base_kind == "trivial":
         if space.base_b1 or space.base_torsion:
@@ -650,7 +621,9 @@ def wreath_facts(space: SpaceSpec, n: int) -> WreathReport:
         raise InputError("n must be at least 1, got %d" % n)
     base = _base_profile(space)
     pure = base.n_fold(n)
-    full = sn_coinvariants(base, n)
+    # the symmetric group permutes the n summands of the pure profile;
+    # its coinvariants are one copy of the base profile
+    full = base
     anchors = ["wreath-pure-iso", "wreath-full-iso", "coinvariants"]
     notes = [
         "the full braid group value is the coinvariant profile; whether "

@@ -1,9 +1,10 @@
-"""Free group words, the integral group ring, and Fox derivatives.
+"""Free group words over named alphabets.
 
 Everything downstream (abelianizations, twisted cohomology, jump loci) is
 computed from finite presentations, and this module is the carrier for
-that: words over an alphabet, kept freely reduced at all times, and finite
-integer combinations of words with the Fox calculus on top.
+that: words over an alphabet, kept freely reduced at all times.  Fox
+derivatives are taken only in evaluated form, by the prefix scan behind
+:func:`braidhom.cohomology.fox_jacobian`.
 
 Generators are addressed by index into an :class:`Alphabet`.  Names exist
 for parsing and printing only, so words over two alphabets of the same
@@ -22,18 +23,10 @@ from .errors import AlphabetMismatchError, PresentationParseError
 Letter = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A named generator at a fixed position of an alphabet."""
-
-    index: int
-    name: str
-
-
 class Alphabet:
     """An ordered tuple of distinct, nonempty generator names."""
 
-    __slots__ = ("names", "generators", "_index")
+    __slots__ = ("names", "_index")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -44,7 +37,6 @@ class Alphabet:
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
         self.names = names
-        self.generators = tuple(Generator(i, n) for i, n in enumerate(names))
         self._index = {n: i for i, n in enumerate(names)}
 
     def __len__(self) -> int:
@@ -123,23 +115,8 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
 
-    def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Word()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def exponent_sum(self, gen: int) -> int:
         return sum(s for g, s in self.letters if g == gen)
-
-    def max_index(self) -> int:
-        """Largest generator index used, or -1 for the identity."""
-        return max((g for g, _ in self.letters), default=-1)
-
-
-IDENTITY = Word()
 
 
 def free_reduce(letters: Sequence[Letter], alphabet: Alphabet | None = None) -> Word:
@@ -184,115 +161,3 @@ def generator_word(index: int, sign: int = 1) -> Word:
 
 def commutator(u: Word, v: Word) -> Word:
     return u * v * u.inverse() * v.inverse()
-
-
-class GroupRingElement:
-    """A finite integer combination of words, with ring multiplication.
-
-    Terms are a dict from :class:`Word` to a nonzero int.  Addition merges
-    terms, multiplication convolves with free reduction of products, and
-    the augmentation map sends every word to 1.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Word, int] | None = None):
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = {w: c for w, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls) -> "GroupRingElement":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "GroupRingElement":
-        return cls({IDENTITY: 1})
-
-    @classmethod
-    def from_word(cls, w: Word, coeff: int = 1) -> "GroupRingElement":
-        return cls({w: coeff})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupRingElement(out)
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
-
-    def __mul__(self, other) -> "GroupRingElement":
-        if isinstance(other, int):
-            return GroupRingElement({w: c * other for w, c in self.terms.items()})
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        out: dict[Word, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                out[w] = out.get(w, 0) + c1 * c2
-        return GroupRingElement(out)
-
-    def __rmul__(self, other) -> "GroupRingElement":
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def augmentation(self) -> int:
-        return sum(self.terms.values())
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "GroupRingElement(0)"
-        bits = ["%+d*%s" % (c, w.letters) for w, c in self.terms.items()]
-        return "GroupRingElement(%s)" % " ".join(bits)
-
-
-def augmentation(element: GroupRingElement) -> int:
-    """Sum of coefficients; the image under the trivial character."""
-    return element.augmentation()
-
-
-def fox_derivative(w: Word, gen: int) -> GroupRingElement:
-    """Fox partial derivative of ``w`` with respect to generator ``gen``.
-
-    One left to right pass: for w = l_1 ... l_k the derivative is the sum
-    over positions of prefix * d(l_i), where d(x) = 1 and d(x^-1) = -x^-1
-    for the chosen generator and 0 for every other letter.  Prefixes of a
-    reduced word are reduced, so no re-reduction is needed.
-    """
-    terms: dict[Word, int] = {}
-    prefix: list[Letter] = []
-    for g, s in w.letters:
-        if g == gen:
-            if s == 1:
-                key = Word(tuple(prefix))
-                terms[key] = terms.get(key, 0) + 1
-            else:
-                key = Word(tuple(prefix) + ((g, -1),))
-                terms[key] = terms.get(key, 0) - 1
-        prefix.append((g, s))
-    return GroupRingElement(terms)
-
-
-def evaluate(element: GroupRingElement, rep) -> object:
-    """Apply a character or matrix representation linearly to ``element``.
-
-    ``rep`` must provide ``word_value(word)`` and ``zero_value()``; the
-    values must support addition and multiplication by int.
-    """
-    total = rep.zero_value()
-    for w, c in element.terms.items():
-        total = total + rep.word_value(w) * c
-    return total

@@ -1,8 +1,11 @@
 """Subcommand surface not already pinned by the acceptance gate:
 character file loading, fragment and jump locus reports, the verify
-failure exit, and malformed file diagnostics."""
+failure exit, malformed and unreadable file diagnostics, and sha256
+digests of the default stdout of every subcommand."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +70,32 @@ class TestH1:
         )
         assert code == 2
         assert "not both" in err
+
+
+class TestUnreadableFiles:
+    def test_missing_presentation_file(self, capsys):
+        code, out, err = run_cli(["abelianize", "--file", "/no/such.pres"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read /no/such.pres")
+
+    def test_non_utf8_presentation_file(self, tmp_path, capsys):
+        pres = tmp_path / "latin1.pres"
+        pres.write_bytes("gens: a\n# caf\xe9\n".encode("latin-1"))
+        code, out, err = run_cli(["abelianize", "--file", str(pres)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: %s is not UTF-8 text" % pres)
+
+    def test_non_utf8_char_file(self, tmp_path, capsys):
+        chi = tmp_path / "chi.json"
+        chi.write_bytes(b'{"N": 2, "values": {"x": 1}, "note": "\xff"}')
+        code, out, err = run_cli(
+            ["h1", "--catalog", "free:2", "--char", str(chi)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: %s is not UTF-8 text" % chi)
 
 
 class TestCharacterFiles:
@@ -224,3 +253,118 @@ class TestVerdictOutput:
         keys = [a["key"] for a in payload["anchors"]]
         assert keys == ["sphere-small-finite", "finite-projective"]
         assert len(keys) == len(set(keys))
+
+
+# ---------------------------------------------------------------------------
+# golden stdout: sha256 of the default output of each argv, recorded from
+# the code before the symbolic group ring was removed.  "@name" stands for
+# a file written under tmp_path from GOLDEN_FILES ("@p2_torus" is the data
+# file in the repository).
+
+GOLDEN_FILES = {
+    "chi_g2": NONTRIVIAL_GENUS2,
+    "chi_t": {"N": 1, "values": {}},
+    "chi_ap4": {"N": 6, "values": {"A1_2": 1, "A3_4": 5, "A2_3": 3}},
+    "rho_g2": {"components": [NONTRIVIAL_GENUS2, {"N": 1, "values": {}}, {"N": 1, "values": {}}]},
+    "rho_t": {
+        "components": [
+            {"N": 5, "values": {"a": 1, "b": 2}},
+            {"N": 5, "values": {"a": 4, "b": 3}},
+            {"N": 5, "values": {"a": 1, "b": 0}},
+        ]
+    },
+    "rho_c": {
+        "components": [
+            {"N": 4, "values": {"a": 1}},
+            {"N": 4, "values": {"a": 3}},
+            {"N": 4, "values": {"a": 0}},
+        ]
+    },
+}
+
+GOLDEN = [
+    ("abelianize --catalog surface:2",
+     "c68f4de762604ce2e8eff62697de24dbdd43cd976b4f02b638e9852d316b7ca9"),
+    ("abelianize --catalog artin_pure:4 --json",
+     "0ef9909b3745d91a2fdc02c41d09fc001218ab8cfe3cbc1d64f90c7f45f874c4"),
+    ("abelianize --catalog product(surface:1,free:2)",
+     "c68f4de762604ce2e8eff62697de24dbdd43cd976b4f02b638e9852d316b7ca9"),
+    ("abelianize --file @p2_torus",
+     "c68f4de762604ce2e8eff62697de24dbdd43cd976b4f02b638e9852d316b7ca9"),
+    ("h1 --catalog surface:2 --char @chi_g2",
+     "0638e0001088ee673d70f036bbbddc938b6dd881c7f61590d73509fbaa8f54c8"),
+    ("h1 --catalog surface:1 --char @chi_t",
+     "0638e0001088ee673d70f036bbbddc938b6dd881c7f61590d73509fbaa8f54c8"),
+    ("h1 --catalog artin_pure:4 --char @chi_ap4",
+     "26c06ef9f76d30d8ae733371f74208418fd6faff41ae1d7837c4bb0433d1b075"),
+    ("b1 --space genus:2 --n 5",
+     "f5b1a1ecfe61a29c4c6cdc3a47e569e43828e5a92e55a03584302851e96a1f70"),
+    ("b1 --space sphere --n 6",
+     "9e2458d755ac5f1a257ecf03fd3cab84e2bbfcfa57b9ba97998635577950dedd"),
+    ("b1 --space c-star --n 4",
+     "b9fa37fed59c619ca1c89fd4b7b414d5a21db7ac521efb1c5d03d43856836ca9"),
+    ("twisted --space genus:2 --n 3 --char @rho_g2",
+     "55bf777a283cbfabbd5ca94f0dd84c6c8598e0583add3919ddc637f597fe243e"),
+    ("twisted --space genus:1 --n 3 --char @rho_t",
+     "4680112e271a213ccc7e0746ec03f288b2538b69dafe50ade549d0e9e204da4c"),
+    ("twisted --space c-star --n 3 --char @rho_c",
+     "6d2c1c1bd1e9c4705b32d36179141709e01d00f324f14aa92ed977553f465aba"),
+    ("e2 --space sphere --n 5",
+     "693ee61f0b99d3f068e2a1f9885d57be5a874288bd5fd3259ae19b8aef6b6ef2"),
+    ("e2 --space genus:1 --n 3",
+     "a74e128523b00d97363bfdc5500e42bbd194848981e978a1da122fa9965a9ade"),
+    ("sigma1 --space genus:2 --n 3",
+     "c4b0c0a2d40bad27ddd5aeebb98466d14d0897229877ea906c237e33b9646d5f"),
+    ("sigma1 --space genus:1 --n 3",
+     "391900d852ca7a90835be6164b9367d7f3122f1c2d33e0c4282d550fb98b9ea7"),
+    ("sigma1 --space c-star --n 4",
+     "cf4d3002248243a3c4e58c5359765e44f6c9c13047d77f2c647507b180adf051"),
+    ("membership --space genus:2 --n 3 --char @rho_g2",
+     "4754a7167ed6d922ada1d9b24567c7e047498df8934364354a95aaa395a95d68"),
+    ("membership --space genus:1 --n 3 --char @rho_t",
+     "8f3ccbc3d58c9046717939d10981485eb2cefb5b4245f66c0b59ee38d4daf045"),
+    ("membership --space c-star --n 3 --char @rho_c",
+     "dd5a2d58735ea0f14dd572589e640e88d9a820ee5d32f8877dd1d4c1b3ad49bb"),
+    ("charvar --genus 2 --ranks 2,3",
+     "ac1172116e5002a941df17e1930030339fef4b4ff63c6370798d3a7c0826f034"),
+    ("charvar --genus 3 --ranks 2 --flavor GL",
+     "c904ffe31a0fb54472f7394f1b3dc76896a5464b4132cb5a25288ed5c5a168d6"),
+    ("tangent --genus 2 --seed 5",
+     "1ae4333ad43bef2895eefe42ff417eac4dc88447157604c7a9fd98b6c884d2e7"),
+    ("tangent --genus 3",
+     "aa90a962ed8905af36d970e59e9f37fcc339dd745c5eaf5fe969068643239f30"),
+    ("verdict --space genus:2 --n 33",
+     "54cee11c20ccbbaaf5fdcab5956457a07572d4d9f3d19e29bb151a7291405152"),
+    ("verdict --space genus:1 --n 3 --flavor full",
+     "e41be9625f2e280f278b19e655544ef9bae03ca5955e9a610da827326458fb83"),
+    ("verdict --space c-star --n 3",
+     "d1567d987917180dcf62aae06d23ece9533b2b14cc42a4fd616603db4c1743d0"),
+    ("verdict --space sphere --n 3",
+     "376186916952bb104d00ebe2f5e1506eb4bcaeb8ff58592c043196752d66265c"),
+    ("verdict --space higher-dim:4:projective:2 --n 3 --flavor full",
+     "9feed25992f4861b2bfad9f8d1224946e622b67914224c4faeb172c743549c81"),
+    ("charp --group artin_pure:4 --p 3",
+     "3dade29e6a379600ef5f698906137c34914dec4955c0e5a609a1da48c2326ead"),
+    ("charp --group sphere_pure:4 --p 5",
+     "76c74c936f5565607a8a2a366050113290f7764cd86a2c81f7d0b536e1374ef2"),
+    ("verify --criteria 1 --json",
+     "109a85dc04194de0401ad1c6e9589f516da746538ff8f251f03d44fe3ba6c0a9"),
+    ("verify --criteria 1,3,4",
+     "229ee91be22639b214d29cde5dfb9b39ac69bc7df2136b72ae74b1ed7e308d00"),
+    ("abelianize --file @tors",
+     "c615b82ff97c93e9e445886c679639cceb82ac421dea3d961144447575f0ae07"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[a for a, _ in GOLDEN])
+def test_golden_stdout(argv, digest, tmp_path, capsys):
+    paths = {"p2_torus": str(Path(__file__).resolve().parents[1] / "data" / "p2_torus.pres")}
+    for name, payload in GOLDEN_FILES.items():
+        paths[name] = write_json(tmp_path / (name + ".json"), payload)
+    tors = tmp_path / "tors.pres"
+    tors.write_text("gens: x y z\nrel: x x y^-1 y^-1\nrel: y y y y\n", encoding="utf-8")
+    paths["tors"] = str(tors)
+    real = [paths[a[1:]] if a.startswith("@") else a for a in argv.split()]
+    code, out, _ = run_cli(real, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

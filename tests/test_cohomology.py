@@ -38,6 +38,7 @@ from braidhom.presentations import (
     validate_character,
 )
 from braidhom.verify import _p2_torus_character
+from braidhom.words import free_reduce, generator_word
 
 CATALOG_IDS = [
     "surface:1",
@@ -321,6 +322,21 @@ class TestTangent:
                 hits += 1
         assert hits >= 19
 
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_adjoint_inverse_images(self, g):
+        # the inverse images the Jacobian reads through word_value are
+        # the inverses of the generator images, for letters and words
+        rng = seeded_rng(700 + g)
+        one = QMat.identity(3)
+        for _ in range(5):
+            ad = random_surface_sl2(g, rng).adjoint_rep()
+            for j in range(2 * g):
+                inv = ad.word_value(generator_word(j, -1))
+                assert inv * ad.image(j) == one
+                assert ad.image(j) * inv == one
+            w = free_reduce([(rng.randrange(2 * g), rng.choice((1, -1))) for _ in range(8)])
+            assert ad.word_value(w.inverse()) * ad.word_value(w) == one
+
 
 class TestSamplers:
     def test_character_determinism(self):
@@ -456,8 +472,16 @@ class TestCertifiedRoute:
         for _ in range(40):
             n = rng.randint(1, 12)
             chi = Character(p.alphabet, n, [rng.randrange(n), rng.randrange(n)])
-            one = chi.context.one()
-            first_bad = next((r for r in p.relators if chi.word_value(r) != one), None)
+            ctx = CycContext(n)
+
+            def value(word):
+                v = ctx.one()
+                for g, sign in word.letters:
+                    z = ctx.zeta(chi.exponents[g])
+                    v = v * (z if sign == 1 else z.inverse())
+                return v
+
+            first_bad = next((r for r in p.relators if value(r) != ctx.one()), None)
             check = validate_character(p, chi)
             assert bool(check) == (first_bad is None)
             assert check.failing_relator == first_bad

@@ -77,7 +77,7 @@ class TestSmithNormalForm:
         a = IntMatrix.zeros(3, 5)
         res = smith_normal_form(a)
         assert res.divisors == ()
-        assert res.d.is_zero()
+        assert res.d == IntMatrix.zeros(3, 5)
 
     def test_empty_matrix(self):
         a = IntMatrix([], ncols=4)
@@ -243,11 +243,6 @@ class TestDeterminant:
 
 
 class TestAbelianProfile:
-    def test_describe(self):
-        assert AbelianProfile(2, (2, 4)).describe() == "Z^2 + Z/2 + Z/4"
-        assert AbelianProfile(1).describe() == "Z"
-        assert AbelianProfile(0).describe() == "0"
-
     def test_chain_enforced(self):
         with pytest.raises(ValueError):
             AbelianProfile(0, (4, 2))

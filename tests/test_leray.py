@@ -24,7 +24,6 @@ from braidhom.leray import (
     h1_twisted_pure_braid,
     pullback_vanishing,
     sigma1_components,
-    sigma1_infinite_witness,
     sigma1_membership,
     surjection_excluded,
 )
@@ -335,28 +334,35 @@ class TestMembership:
             assert m.member == (m.h1 > 0) == bool(m.components)
 
 
+def _pair_witnesses(n, k):
+    """k distinct torus tuples in the first pair component: a character
+    of order N and its inverse, N = 3, 4, ..., then trivial components."""
+    out = []
+    for order in range(3, k + 3):
+        sigma = Character(TORUS_AB, order, {"a": 1})
+        rest = [Character(TORUS_AB, 1)] * (n - 2)
+        out.append(CharacterTuple([sigma, sigma.inverse(), *rest]))
+    return out
+
+
 class TestWitnesses:
     def test_three_distinct_members(self):
-        ws = sigma1_infinite_witness(2, 3)
+        ws = _pair_witnesses(2, 3)
         assert len(ws) == len(set(ws)) == 3
         for rho in ws:
             m = sigma1_membership(GENUS1, 2, rho)
             assert m.member and m.h1 >= 1
 
     def test_three_strand_witnesses_in_first_pair(self):
-        for rho in sigma1_infinite_witness(3, 2):
+        for rho in _pair_witnesses(3, 2):
             m = sigma1_membership(GENUS1, 3, rho)
             assert "T_1_2" in m.components
 
     def test_many_witnesses_all_distinct(self):
-        ws = sigma1_infinite_witness(2, 12)
+        ws = _pair_witnesses(2, 12)
         assert len(set(ws)) == 12
-
-    def test_bounds(self):
-        with pytest.raises(OutOfRangeError):
-            sigma1_infinite_witness(1, 1)
-        with pytest.raises(OutOfRangeError):
-            sigma1_infinite_witness(2, 0)
+        for rho in ws:
+            assert sigma1_membership(GENUS1, 2, rho).components == ("T_1_2",)
 
 
 class TestSurjectionExcluded:

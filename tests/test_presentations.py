@@ -29,8 +29,8 @@ from braidhom.presentations import (
     artin_pure_relators,
     catalog,
     free_presentation,
-    load_external,
     parse_presentation,
+    product_character,
     product_presentation,
     serialize_presentation,
     surface_presentation,
@@ -51,13 +51,13 @@ def abelianization_oracle(p: Presentation):
 class TestCatalogSurfaces:
     def test_surface_one_exact(self):
         p = surface_presentation(1)
-        assert p.generator_names == ("a", "b")
+        assert p.alphabet.names == ("a", "b")
         assert len(p.relators) == 1
         assert p.alphabet.format_word(p.relators[0]) == "a b a^-1 b^-1"
 
     def test_surface_two_shape(self):
         p = surface_presentation(2)
-        assert p.generator_names == ("a1", "b1", "a2", "b2")
+        assert p.alphabet.names == ("a1", "b1", "a2", "b2")
         assert len(p.relators) == 1
         assert len(p.relators[0]) == 8
 
@@ -79,20 +79,20 @@ class TestCatalogSurfaces:
 
     def test_free_groups(self):
         p = free_presentation(2)
-        assert p.generator_names == ("a", "b")
+        assert p.alphabet.names == ("a", "b")
         assert p.relators == ()
         with pytest.raises(InputError):
             free_presentation(0)
 
     def test_free_large_rank_names_distinct(self):
         p = free_presentation(30)
-        assert len(set(p.generator_names)) == 30
+        assert len(set(p.alphabet.names)) == 30
 
 
 class TestCatalogProducts:
     def test_product_of_two_tori(self):
         p = product_presentation(surface_presentation(1), surface_presentation(1))
-        assert p.generator_names == ("a_1", "b_1", "a_2", "b_2")
+        assert p.alphabet.names == ("a_1", "b_1", "a_2", "b_2")
         # one surface relator per factor plus four cross commutators
         assert p.num_relators == 6
         assert len(p.product_factors) == 2
@@ -306,22 +306,9 @@ class TestFileFormat:
         section = readme.read_text().split("## File formats", 1)[1]
         example = section.split("```")[1]
         p = parse_presentation(example)
-        assert p.generator_names == ("a1", "b1", "a2", "b2")
+        assert p.alphabet.names == ("a1", "b1", "a2", "b2")
         assert p == surface_presentation(2)
         assert p.source == "optional provenance note"
-
-    def test_load_external_round_trip(self, tmp_path):
-        path = tmp_path / "s2.pres"
-        path.write_text(serialize_presentation(surface_presentation(2)))
-        p = load_external(path)
-        assert p == surface_presentation(2)
-        assert p.source is not None
-
-    def test_load_external_keeps_source_line(self, tmp_path):
-        path = tmp_path / "s.pres"
-        path.write_text("gens: a\nsource: somebody 1999\nrel: a a a\n")
-        p = load_external(path)
-        assert p.source == "somebody 1999"
 
 
 class TestShippedTorusData:
@@ -329,8 +316,8 @@ class TestShippedTorusData:
         import pathlib
 
         path = pathlib.Path(__file__).resolve().parent.parent / "data" / "p2_torus.pres"
-        p = load_external(path)
-        assert p.generator_names == ("c1", "c2", "u1", "u2")
+        p = parse_presentation(path.read_text(encoding="utf-8"))
+        assert p.alphabet.names == ("c1", "c2", "u1", "u2")
         assert p.num_relators == 5
         profile = abelianization_oracle(p)
         assert profile.rank == 4
@@ -367,10 +354,9 @@ class TestCharacter:
     def test_word_value_exact(self):
         p = surface_presentation(1)
         chi = Character(p.alphabet, 6, {"a": 2, "b": 3})
-        ctx = chi.context
-        assert chi.word_value(p.alphabet.parse_word("a b")) == ctx.zeta(5)
-        assert chi.word_value(p.alphabet.parse_word("a^-1")) == ctx.zeta(4)
-        assert chi.word_value(Word()) == ctx.one()
+        assert chi.word_exponent(p.alphabet.parse_word("a b")) == 5
+        assert chi.word_exponent(p.alphabet.parse_word("a^-1")) == 4
+        assert chi.word_exponent(Word()) == 0
 
     def test_radial_field_rejected(self):
         p = free_presentation(1)
@@ -429,7 +415,7 @@ class TestCharacter:
         u = free_reduce(raw)
         target = generator_word(g)
         conj = u * target * u.inverse()
-        assert chi.word_value(conj) == chi.word_value(target)
+        assert chi.word_exponent(conj) == chi.word_exponent(target)
 
 
 class TestCharacterTuple:
@@ -469,16 +455,15 @@ class TestCharacterTuple:
                 Character(p.alphabet, 4),
             ]
         )
-        chi = t.as_product_character(prod)
+        chi = product_character(prod, *t.components)
         assert chi.alphabet == prod.alphabet
         assert validate_character(prod, chi)
-        assert CharacterTuple.from_product_character(chi, prod) == t
+        assert chi.exponents == (1, 0, 0, 3, 0, 0)
 
     def test_non_product_rejected(self):
         p = surface_presentation(1)
-        t = CharacterTuple([Character(p.alphabet, 2)])
         with pytest.raises(InputError):
-            t.as_product_character(p)
+            product_character(p, Character(p.alphabet, 2))
 
 
 class TestMatrixRep:
@@ -590,7 +575,3 @@ class TestSpaceSpec:
 
     def test_complex_dim_odd_real_dim(self):
         assert SpaceSpec.parse("higher-dim:5").complex_dim is None
-
-    def test_describe_nonempty(self):
-        for text in ("sphere", "plane", "disk", "c-star", "genus:2", "hyperbolic:2"):
-            assert SpaceSpec.parse(text).describe()

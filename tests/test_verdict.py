@@ -23,7 +23,6 @@ from braidhom.verdict import (
     charp_verdict,
     kahler_verdict,
     parity_obstruction,
-    sn_coinvariants,
     wreath_facts,
 )
 
@@ -525,46 +524,39 @@ class TestObstructionHelpers:
         assert hit.anchors == ("betti-even",)
 
     def test_beauville_dimension_two(self):
-        out = beauville_obstruction([{"dimension": 2, "untranslated": True}])
+        out = beauville_obstruction([2])
         assert out.kind == "obstruction"
         assert out.forced_genus is None
 
     def test_beauville_odd_dimension(self):
-        out = beauville_obstruction([{"dimension": 3}])
+        out = beauville_obstruction([3])
         assert out.kind == "obstruction"
 
     def test_beauville_forced_fibration(self):
-        out = beauville_obstruction([{"dimension": 4, "untranslated": True}])
+        out = beauville_obstruction([4])
         assert out == BeauvilleOutcome(
             kind="forced-fibration",
             dimension=4,
             forced_genus=2,
             anchors=("beauville-fibration",),
         )
-        assert beauville_obstruction([{"dimension": 6}]).forced_genus == 3
+        assert beauville_obstruction([6]).forced_genus == 3
 
     def test_beauville_obstruction_beats_fibration(self):
-        out = beauville_obstruction([{"dimension": 4}, {"dimension": 3}])
+        out = beauville_obstruction([4, 3])
         assert out.kind == "obstruction"
         assert out.dimension == 3
 
-    def test_beauville_ignores_translated_and_points(self):
+    def test_beauville_ignores_points(self):
         assert beauville_obstruction([]) is None
-        assert beauville_obstruction([{"dimension": 0}]) is None
-        out = beauville_obstruction([{"dimension": 2, "untranslated": False}])
-        assert out is None
+        assert beauville_obstruction([0]) is None
+        assert beauville_obstruction([0, 4]).forced_genus == 2
 
-    def test_beauville_accepts_component_objects(self):
+    def test_beauville_on_computed_locus_dimensions(self):
         locus = sigma1_components(SpaceSpec.parse("genus:1"), 3)
-        out = beauville_obstruction(locus.components)
+        out = beauville_obstruction([c.dimension for c in locus.components])
         assert out.kind == "forced-fibration"
         assert out.forced_genus == 2
-
-    def test_beauville_rejects_bad_input(self):
-        with pytest.raises(InputError):
-            beauville_obstruction([{"untranslated": True}])
-        with pytest.raises(InputError):
-            beauville_obstruction([object()])
 
 
 class TestWreath:
@@ -617,12 +609,12 @@ class TestWreath:
             wreath_facts(SpaceSpec.parse("genus:2"), 2)
 
     def test_coinvariants_identity_and_validation(self):
-        prof = AbelianProfile(1, (2,))
-        assert sn_coinvariants(prof, 1) == prof
-        assert sn_coinvariants(prof, 5) == prof
-        assert sn_coinvariants(AbelianProfile(4), 3) == AbelianProfile(4)
+        # the full braid group profile is one copy of the base profile
+        space = SpaceSpec("higher-dim", real_dim=4, base_kind="other", base_b1=1, base_torsion=(2,))
+        for n in (1, 5):
+            assert wreath_facts(space, n).full_h1 == AbelianProfile(1, (2,))
         with pytest.raises(InputError):
-            sn_coinvariants(prof, 0)
+            wreath_facts(space, 0)
 
 
 class TestCharp:

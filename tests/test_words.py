@@ -2,18 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidhom.cohomology import fox_jacobian
 from braidhom.errors import AlphabetMismatchError, PresentationParseError
-from braidhom.words import (
-    Alphabet,
-    GroupRingElement,
-    Word,
-    augmentation,
-    commutator,
-    evaluate,
-    fox_derivative,
-    free_reduce,
-    generator_word,
-)
+from braidhom.presentations import Character, Presentation
+from braidhom.words import Alphabet, Word, commutator, free_reduce, generator_word
 
 AB = Alphabet(["x", "y"])
 X = generator_word(0)
@@ -97,96 +89,99 @@ class TestAlphabet:
                 AB.parse_word(bad)
 
 
-class TestGroupRing:
-    def test_augmentation_counts_coefficients(self):
-        e = GroupRingElement.from_word(X) * 2 - GroupRingElement.one() * 3
-        assert augmentation(e) == -1
+# Fox derivatives are tested in evaluated form, on the rows of the
+# production Jacobian: at a character each entry is an element of the
+# group ring Z[Z/N], a map from exponents e to the coefficient of zeta^e.
 
-    def test_zero_terms_dropped(self):
-        e = GroupRingElement.from_word(X) - GroupRingElement.from_word(X)
-        assert e == GroupRingElement.zero()
-        assert not e
-
-    @given(raw_letters, raw_letters)
-    def test_multiplication_matches_word_product(self, a, b):
-        u, v = free_reduce(a), free_reduce(b)
-        prod = GroupRingElement.from_word(u) * GroupRingElement.from_word(v)
-        assert prod == GroupRingElement.from_word(u * v)
+SIX = Alphabet(["x%d" % j for j in range(6)])
 
 
-def ring_x(gen, sign=1):
-    return GroupRingElement.from_word(generator_word(gen, sign))
+def fox_row(w, chi):
+    """d(w)/dx_j at ``chi`` for every generator j, by ``fox_jacobian``."""
+    if w.is_identity:
+        return [{} for _ in chi.exponents]
+    p = Presentation(chi.alphabet, (w,))
+    return fox_jacobian(p, chi, validated=True).rows[0]
+
+
+def ring_add(*terms):
+    out = {}
+    for t in terms:
+        for e, c in t.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ring_scale(t, shift, n, sign=1):
+    """sign * zeta^shift * t in Z[Z/n]."""
+    return {(e + shift) % n: sign * c for e, c in t.items()}
+
+
+characters = st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=6, max_size=6).map(
+        lambda exps: Character(SIX, n, exps)
+    )
+)
 
 
 class TestFoxDerivative:
+    # worked examples at x -> zeta^a, y -> zeta^b
+    N, A, B = 7, 2, 3
+    CHI = Character(AB, N, {"x": A, "y": B})
+
     def test_single_generator(self):
-        assert fox_derivative(X, 0) == GroupRingElement.one()
-        assert fox_derivative(Y, 0) == GroupRingElement.zero()
+        assert fox_row(X, self.CHI) == [{0: 1}, {}]
 
     def test_inverse_generator(self):
         # d(x^-1)/dx = -x^-1
-        assert fox_derivative(X.inverse(), 0) == GroupRingElement.from_word(
-            X.inverse(), -1
-        )
+        assert fox_row(X.inverse(), self.CHI) == [{-self.A % self.N: -1}, {}]
 
     def test_product_rule_example(self):
         # d(xy)/dx = 1, d(xy)/dy = x
-        xy = X * Y
-        assert fox_derivative(xy, 0) == GroupRingElement.one()
-        assert fox_derivative(xy, 1) == ring_x(0)
+        assert fox_row(X * Y, self.CHI) == [{0: 1}, {self.A: 1}]
 
     def test_commutator_example(self):
-        # d([x,y])/dx = 1 - xyx^-1
-        c = commutator(X, Y)
-        expected = GroupRingElement.one() - GroupRingElement.from_word(
-            X * Y * X.inverse()
-        )
-        assert fox_derivative(c, 0) == expected
+        # d([x,y])/dx = 1 - xyx^-1, d([x,y])/dy = x - [x,y]
+        row = fox_row(commutator(X, Y), self.CHI)
+        assert row == [{0: 1, self.B: -1}, {self.A: 1, 0: -1}]
 
-    @given(raw_letters)
-    def test_fundamental_identity(self, raw):
-        # sum_j d(w)/dx_j * (x_j - 1) == w - 1
+    @given(raw_letters, characters)
+    def test_fundamental_identity(self, raw, chi):
+        # sum_j d(w)/dx_j * (chi(x_j) - 1) == chi(w) - 1
         w = free_reduce(raw)
-        k = w.max_index() + 1
-        total = GroupRingElement.zero()
-        for j in range(k):
-            total = total + fox_derivative(w, j) * (
-                ring_x(j) - GroupRingElement.one()
+        n = chi.order
+        total = ring_add(
+            *(
+                ring_add(ring_scale(d, e, n), ring_scale(d, 0, n, -1))
+                for d, e in zip(fox_row(w, chi), chi.exponents)
             )
-        assert total == GroupRingElement.from_word(w) - GroupRingElement.one()
+        )
+        assert total == ring_add({chi.word_exponent(w): 1}, {0: -1})
 
-    @given(raw_letters)
-    def test_inverse_rule(self, raw):
+    @given(raw_letters, characters)
+    def test_inverse_rule(self, raw, chi):
         # d(w^-1)/dx = -w^-1 * d(w)/dx
         w = free_reduce(raw)
-        for j in range(w.max_index() + 1):
-            lhs = fox_derivative(w.inverse(), j)
-            rhs = GroupRingElement.from_word(w.inverse(), -1) * fox_derivative(w, j)
-            assert lhs == rhs
+        back = -chi.word_exponent(w)
+        rhs = [ring_scale(d, back, chi.order, -1) for d in fox_row(w, chi)]
+        assert fox_row(w.inverse(), chi) == rhs
 
-    @given(raw_letters, raw_letters)
-    def test_product_rule(self, a, b):
+    @given(raw_letters, raw_letters, characters)
+    def test_product_rule(self, a, b, chi):
         # d(uv)/dx = d(u)/dx + u * d(v)/dx
         u, v = free_reduce(a), free_reduce(b)
-        for j in range(max(u.max_index(), v.max_index()) + 1):
-            lhs = fox_derivative(u * v, j)
-            rhs = fox_derivative(u, j) + GroupRingElement.from_word(u) * fox_derivative(
-                v, j
-            )
-            assert lhs == rhs
+        shift = chi.word_exponent(u)
+        rhs = [
+            ring_add(du, ring_scale(dv, shift, chi.order))
+            for du, dv in zip(fox_row(u, chi), fox_row(v, chi))
+        ]
+        assert fox_row(u * v, chi) == rhs
 
-
-class _CountRep:
-    """Evaluation hook mapping every generator to 1; evaluate then equals
-    augmentation."""
-
-    def word_value(self, w):
-        return 1
-
-    def zero_value(self):
-        return 0
-
-
-def test_evaluate_trivial_rep_is_augmentation():
-    e = GroupRingElement.from_word(X * Y) * 3 - GroupRingElement.one()
-    assert evaluate(e, _CountRep()) == augmentation(e)
+    @given(raw_letters)
+    def test_trivial_character_gives_exponent_sums(self, raw):
+        # at N = 1 every derivative collapses to its augmentation
+        w = free_reduce(raw)
+        row = fox_row(w, Character(SIX, 1))
+        for j in range(6):
+            s = w.exponent_sum(j)
+            assert row[j] == ({0: s} if s else {})
