@@ -13,6 +13,7 @@ input error.
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .anchors import ANCHORS, anchor_json
 from .cohomology import (
@@ -282,22 +283,13 @@ def _cmd_charp(args) -> int:
 def _cmd_verify(args) -> int:
     numbers = None
     names = None
-    if args.criteria:
-        numbers = []
-        names = []
-        for part in args.criteria.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if part.isdigit():
-                numbers.append(int(part))
-            else:
-                names.append(part)
-        numbers = numbers or None
-        names = names or None
+    if args.criteria is not None:
+        parts = [part.strip() for part in args.criteria.split(",") if part.strip()]
+        if not parts:
+            raise InputError("no criteria selected")
+        numbers = [int(part) for part in parts if part.isdecimal()]
+        names = [part for part in parts if not part.isdecimal()]
     results = run_criteria(numbers=numbers, names=names, seed=args.seed)
-    if numbers is None and names is None and not results:
-        raise InputError("no criteria selected")
     all_passed = all(r.passed for r in results)
     if args.json:
         _emit(
@@ -338,7 +330,15 @@ def _add_space_n(sub) -> None:
     sub.add_argument("--n", type=int, required=True, help="strand count")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument grammar, built on the first call and reused after.
+
+    Building it costs a few milliseconds, several times the mathematics
+    of a small query, so repeated ``main`` calls in one process share it.
+    Reuse is safe: ``parse_args`` returns a fresh namespace on every call
+    and the handlers are plain module functions.
+    """
     parser = argparse.ArgumentParser(
         prog="braidhom",
         description="exact invariants of surface braid groups and the "

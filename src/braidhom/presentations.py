@@ -19,13 +19,18 @@ exponent sums, matrix representations through ``image`` and
 from __future__ import annotations
 
 import string
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Mapping, Sequence
 
-from .errors import AlphabetMismatchError, InputError, PresentationParseError
+from .errors import (
+    AlphabetMismatchError,
+    InputError,
+    OutOfRangeError,
+    PresentationParseError,
+)
 from .exactlin import QMat
 from .words import Alphabet, Word, commutator, generator_word
 
@@ -358,11 +363,21 @@ def product_presentation(*factors: Presentation) -> Presentation:
     )
 
 
+# Catalog ids arrive from the command line, so their sizes are bounded
+# before anything is built: the artin_pure:n derivation grows steeply with
+# n (seconds at n=12, minutes past 16) and free:k takes memory linear in k.
+_CATALOG_MAX_STRANDS = 12
+_CATALOG_MAX_FREE_RANK = 10**5
+
+
 def catalog(spec: str) -> Presentation:
     """Build a catalog presentation from a string id.
 
     Grammar: ``surface:g`` | ``free:k`` | ``artin_pure:n`` |
-    ``product(id,id,...)`` with ids nested recursively.
+    ``product(id,id,...)`` with ids nested recursively.  ``artin_pure:n``
+    with n > 12 and ``free:k`` with k > 10^5 raise
+    :class:`OutOfRangeError`; :func:`artin_pure_presentation` and
+    :func:`free_presentation` take any size.
     """
     spec = spec.strip()
     if spec.startswith("product(") and spec.endswith(")"):
@@ -394,8 +409,18 @@ def catalog(spec: str) -> Presentation:
     if kind == "surface":
         return surface_presentation(value)
     if kind == "free":
+        if value > _CATALOG_MAX_FREE_RANK:
+            raise OutOfRangeError(
+                "free:%d: the catalog is limited to rank %d"
+                % (value, _CATALOG_MAX_FREE_RANK)
+            )
         return free_presentation(value)
     if kind == "artin_pure":
+        if value > _CATALOG_MAX_STRANDS:
+            raise OutOfRangeError(
+                "artin_pure:%d: the catalog is limited to %d strands"
+                % (value, _CATALOG_MAX_STRANDS)
+            )
         return artin_pure_presentation(value)
     raise InputError("unknown catalog kind %r" % kind)
 

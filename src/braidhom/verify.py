@@ -28,6 +28,7 @@ from .cohomology import (
     surface_profile,
     tangent_dim_at,
 )
+from .errors import InputError
 from .exactlin import IntMatrix, QMat, is_unimodular, smith_normal_form
 from .leray import b1_pure_braid, h1_twisted_pure_braid, sigma1_membership
 from .presentations import (
@@ -544,29 +545,22 @@ def run_criteria(
     names: Optional[Iterable[str]] = None,
     seed: int = DEFAULT_SEED,
 ) -> list[CriterionResult]:
-    """Run selected acceptance criteria (all of them by default)."""
-    wanted_numbers = set(numbers) if numbers is not None else None
-    wanted_names = set(names) if names is not None else None
-    known_numbers = {num for num, _, _ in CRITERIA}
-    known_names = {name for _, name, _ in CRITERIA}
-    if wanted_numbers is not None and not wanted_numbers <= known_numbers:
-        from .errors import InputError
+    """Run the criteria selected by number or by name, in table order.
 
-        raise InputError(
-            "unknown criterion number(s): %s"
-            % sorted(wanted_numbers - known_numbers)
-        )
-    if wanted_names is not None and not wanted_names <= known_names:
-        from .errors import InputError
-
-        raise InputError(
-            "unknown criterion name(s): %s" % sorted(wanted_names - known_names)
-        )
-    results = []
-    for number, name, func in CRITERIA:
-        if wanted_numbers is not None and number not in wanted_numbers:
-            continue
-        if wanted_names is not None and name not in wanted_names:
-            continue
-        results.append(func(seed))
-    return results
+    A criterion runs when its number is in ``numbers`` or its name is in
+    ``names``; with neither given, every criterion runs.
+    """
+    run_all = numbers is None and names is None
+    wanted_numbers = set(numbers or ())
+    wanted_names = set(names or ())
+    unknown_numbers = wanted_numbers - {num for num, _, _ in CRITERIA}
+    if unknown_numbers:
+        raise InputError("unknown criterion number(s): %s" % sorted(unknown_numbers))
+    unknown_names = wanted_names - {name for _, name, _ in CRITERIA}
+    if unknown_names:
+        raise InputError("unknown criterion name(s): %s" % sorted(unknown_names))
+    return [
+        func(seed)
+        for number, name, func in CRITERIA
+        if run_all or number in wanted_numbers or name in wanted_names
+    ]

@@ -1,15 +1,19 @@
 """Subcommand surface not already pinned by the acceptance gate:
 character file loading, fragment and jump locus reports, the verify
-failure exit, malformed and unreadable file diagnostics, and sha256
-digests of the default stdout of every subcommand."""
+selection and failure exit, catalog limits, malformed and unreadable
+file diagnostics, reuse of one parser across calls, and sha256 digests
+of the default stdout of every subcommand."""
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from braidhom.cli import main
+from braidhom import cli as cli_module
+from braidhom import verify as verify_module
+from braidhom.cli import build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -218,8 +222,44 @@ class TestVerifyCommand:
         assert code == 0
         assert out.startswith("[PASS] criterion 2 (snf)")
 
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """Stub every criterion, keeping numbers and names; collects the
+        numbers of the criteria that ran."""
+        ran = []
+
+        def stub(number, name):
+            def run(seed):
+                ran.append(number)
+                return verify_module.CriterionResult(number, name, True, "stub")
+
+            return run
+
+        table = [
+            (num, name, stub(num, name)) for num, name, _ in verify_module.CRITERIA
+        ]
+        monkeypatch.setattr(verify_module, "CRITERIA", table)
+        return ran
+
+    @pytest.mark.parametrize("criteria", ["1,snf", "snf,1", "2,1,fox-identity"])
+    def test_numbers_and_names_mix(self, ran, criteria, capsys):
+        code, out, _ = run_cli(["verify", "--criteria", criteria, "--json"], capsys)
+        assert code == 0
+        assert ran == [1, 2]
+        assert [r["number"] for r in json.loads(out)["results"]] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "criteria, named",
+        [("1,bogus", "bogus"), ("snf,99", "99"), (",", "no criteria")],
+    )
+    def test_bad_selection_exits_2(self, ran, criteria, named, capsys):
+        code, out, err = run_cli(["verify", "--criteria", criteria], capsys)
+        assert code == 2
+        assert out == ""
+        assert named in err
+        assert ran == []
+
     def test_failure_exits_1(self, monkeypatch, capsys):
-        from braidhom import cli as cli_module
         from braidhom.verify import CriterionResult
 
         def fake(numbers=None, names=None, seed=0):
@@ -229,6 +269,17 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--criteria", "1"], capsys)
         assert code == 1
         assert out.startswith("[FAIL]")
+
+
+class TestCatalogLimits:
+    @pytest.mark.parametrize(
+        "spec", ["artin_pure:13", "free:100001", "product(free:1,artin_pure:13)"]
+    )
+    def test_oversized_catalog_exits_2(self, spec, capsys):
+        code, out, err = run_cli(["abelianize", "--catalog", spec], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "limited to" in err
 
 
 class TestVerdictOutput:
@@ -368,3 +419,57 @@ def test_golden_stdout(argv, digest, tmp_path, capsys):
     code, out, _ = run_cli(real, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+@pytest.fixture
+def fresh_parser():
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+class TestParserReuse:
+    def test_one_parser_for_many_calls(self, fresh_parser, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (
+            ["charvar", "--genus", "2", "--ranks", "2"],
+            ["sigma1", "--space", "genus:1", "--n", "2"],
+            ["b1", "--space", "sphere", "--n", "4"],
+        ):
+            code, _, _ = run_cli(argv, capsys)
+            assert code == 0
+        # one grammar: the top-level parser once, then each subparser once
+        assert built[0] == "braidhom"
+        assert built.count("braidhom") == 1
+        assert len(set(built)) == len(built)
+
+    def test_usage_error_leaves_parser_intact(self, fresh_parser, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["b1", "--space", "genus:2"])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+        argv = "b1 --space genus:2 --n 5"
+        code, out, _ = run_cli(argv.split(), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == dict(GOLDEN)[argv]
+
+    def test_help_twice(self, fresh_parser, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: braidhom")

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidhom import presentations
 from braidhom.errors import (
     AlphabetMismatchError,
     InputError,
+    OutOfRangeError,
     PresentationParseError,
 )
 from braidhom.exactlin import IntMatrix, QMat, cokernel_profile
@@ -128,6 +130,31 @@ class TestCatalogProducts:
     def test_catalog_bad_ids(self, bad):
         with pytest.raises(InputError):
             catalog(bad)
+
+    @pytest.mark.parametrize(
+        "spec, builder, inside",
+        [
+            ("artin_pure:12", "artin_pure_presentation", True),
+            ("artin_pure:13", "artin_pure_presentation", False),
+            ("free:100000", "free_presentation", True),
+            ("free:100001", "free_presentation", False),
+        ],
+    )
+    def test_catalog_size_bounds(self, monkeypatch, spec, builder, inside):
+        # the builder is a stub (deriving artin_pure:12 takes seconds), so
+        # an id past the bound must be refused before the builder runs
+        calls = []
+        monkeypatch.setattr(
+            presentations, builder, lambda n: calls.append(n) or "built"
+        )
+        size = int(spec.split(":")[1])
+        if inside:
+            assert catalog(spec) == "built"
+            assert calls == [size]
+        else:
+            with pytest.raises(OutOfRangeError, match="limited to .*%d" % (size - 1)):
+                catalog(spec)
+            assert calls == []
 
 
 # Frozen snapshot of the derived relator tables.  Regenerate with
