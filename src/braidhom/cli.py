@@ -177,7 +177,7 @@ def _cmd_e2(args) -> int:
             "rank10": frag.rank10,
             "rank01": frag.rank01,
             "rank20": frag.rank20,
-            "d2_shape": [frag.d2.nrows, frag.d2.ncols],
+            "d2_shape": [frag.rank20, frag.rank01],
             "coefficients": frag.coefficients,
             "anchors": anchor_json(keys),
         }

@@ -245,18 +245,18 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     )
 
 
-def _sparse_columns(a: IntMatrix):
-    """The nonzero entries of ``a`` as column -> {row: value}, with the
-    index row -> set of columns holding an entry in that row."""
+def _sparse_columns(columns: Sequence[dict[int, int]]):
+    """Copies of the nonzero entries of ``columns`` as column ->
+    {row: value}, with the index row -> set of columns holding an entry
+    in that row."""
     cols: dict[int, dict[int, int]] = {}
     row_index: dict[int, set[int]] = {}
-    span = range(a.ncols)
-    for i, row in enumerate(a.rows):
-        hits = list(compress(span, row))
-        if hits:
-            row_index[i] = set(hits)
-            for j in hits:
-                cols.setdefault(j, {})[i] = row[j]
+    for j, column in enumerate(columns):
+        col = {i: v for i, v in column.items() if v}
+        if col:
+            cols[j] = col
+            for i in col:
+                row_index.setdefault(i, set()).add(j)
     return cols, row_index
 
 
@@ -319,14 +319,16 @@ def _eliminate_units(cols, row_index) -> int:
     return units
 
 
-def elementary_divisors(a: IntMatrix) -> tuple[int, ...]:
-    """Nonzero elementary divisors of ``a``, without transform tracking.
+def column_divisors(columns: Sequence[dict[int, int]]) -> tuple[int, ...]:
+    """Nonzero elementary divisors of the integer matrix whose j-th column
+    has the entries ``columns[j]`` ({row: value}), without transform
+    tracking.  The argument is left unchanged.
 
-    Unit pivots are eliminated first on a sparse copy; whatever block is
-    left when no entry +-1 remains, usually nothing, goes through the
-    dense engine.
+    Unit pivots are eliminated first on sparse copies of the columns;
+    whatever block is left when no entry +-1 remains, usually nothing,
+    goes through the dense engine.
     """
-    cols, row_index = _sparse_columns(a)
+    cols, row_index = _sparse_columns(columns)
     units = _eliminate_units(cols, row_index)
     rows = sorted(i for i, js in row_index.items() if js)
     where = {j: t for t, j in enumerate(sorted(cols))}
@@ -340,10 +342,15 @@ def elementary_divisors(a: IntMatrix) -> tuple[int, ...]:
     return (1,) * units + tuple(M[t][t] for t in range(rank))
 
 
-def elementary_divisor_profile(a: IntMatrix) -> tuple[int, tuple[int, ...]]:
-    """(rank, torsion divisors > 1) read off the Smith form."""
-    divisors = elementary_divisors(a)
-    return len(divisors), tuple(d for d in divisors if d > 1)
+def elementary_divisors(a: IntMatrix) -> tuple[int, ...]:
+    """Nonzero elementary divisors of ``a``: :func:`column_divisors` on
+    its columns."""
+    columns: list[dict[int, int]] = [{} for _ in range(a.ncols)]
+    span = range(a.ncols)
+    for i, row in enumerate(a.rows):
+        for j in compress(span, row):
+            columns[j][i] = row[j]
+    return column_divisors(columns)
 
 
 def bareiss_determinant(a: IntMatrix) -> int:
@@ -402,10 +409,13 @@ class AbelianProfile:
         return AbelianProfile(self.rank + other.rank, _rechain(merged))
 
     def n_fold(self, n: int) -> "AbelianProfile":
-        out = AbelianProfile(0)
-        for _ in range(n):
-            out = out.direct_sum(self)
-        return out
+        """The direct sum of n copies: each divisor of the chain repeated
+        n times is again a chain."""
+        if n < 0:
+            raise ValueError("negative number of summands")
+        return AbelianProfile(
+            self.rank * n, tuple(d for d in self.torsion for _ in range(n))
+        )
 
 
 def _rechain(divisors: list[int]) -> tuple[int, ...]:
@@ -564,8 +574,8 @@ __all__ = [
     "IntMatrix",
     "SNFResult",
     "smith_normal_form",
+    "column_divisors",
     "elementary_divisors",
-    "elementary_divisor_profile",
     "bareiss_determinant",
     "is_unimodular",
     "AbelianProfile",

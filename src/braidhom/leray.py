@@ -11,7 +11,6 @@ and the vanishing fact for pulled back top classes.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .cohomology import h0_dim, h1_dim, kunneth_h1
 from .errors import (
@@ -20,7 +19,7 @@ from .errors import (
     OutOfRangeError,
     OutOfScopeError,
 )
-from .exactlin import IntMatrix, elementary_divisor_profile
+from .exactlin import column_divisors
 from .presentations import (
     CharacterTuple,
     SpaceSpec,
@@ -37,16 +36,13 @@ from .presentations import (
 class DiagonalClass:
     """Coordinates of the diagonal of a two-fold surface product in the
     product basis of its degree two cohomology: the coefficients on the
-    two orientation classes and a 2g x 2g integer block on the product
-    of the degree one parts."""
+    two orientation classes and the rows of a 2g x 2g integer block on
+    the product of the degree one parts."""
 
     genus: int
     e1: int
     e2: int
-    block: IntMatrix
-
-    def block_flat(self) -> list[int]:
-        return [v for row in self.block.rows for v in row]
+    block: tuple[tuple[int, ...], ...]
 
 
 def diagonal_class(g: int) -> DiagonalClass:
@@ -63,7 +59,7 @@ def diagonal_class(g: int) -> DiagonalClass:
     for k in range(g):
         rows[2 * k][2 * k + 1] = 1
         rows[2 * k + 1][2 * k] = -1
-    return DiagonalClass(g, 1, 1, IntMatrix(rows, ncols=2 * g))
+    return DiagonalClass(g, 1, 1, tuple(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -72,80 +68,54 @@ def diagonal_class(g: int) -> DiagonalClass:
 @dataclass(frozen=True)
 class E2Fragment:
     """The corner of the second page that controls degree one: the
-    degree (1,0) and (0,1) ranks, the degree (2,0) rank with its
-    product summand labels, and the differential out of (0,1)."""
+    degree (1,0), (0,1) and (2,0) ranks, and the differential out of
+    (0,1) as one {row: nonzero entry} column per pair class, in pair
+    order.  Rows 0..n-1 are the orientation classes of the factors; the
+    pair with index c owns the (2g)^2 rows from n + c (2g)^2 on."""
 
     genus: int
     n: int
     rank10: int
     rank01: int
     rank20: int
-    d2: IntMatrix
-    labels01: tuple[str, ...]
-    labels20: tuple[str, ...]
+    d2: tuple[dict[int, int], ...]
     coefficients: str = "trivial"
 
-    def __post_init__(self):
-        if len(self.d2.rows) != self.rank20 or self.d2.ncols != self.rank01:
-            raise InputError("differential shape disagrees with the ranks")
 
-
-def e2_trivial(g: int, n: int, block: Optional[IntMatrix] = None) -> E2Fragment:
+def e2_trivial(g: int, n: int) -> E2Fragment:
     """Second page fragment for n points on a closed genus g surface
-    with trivial coefficients.
-
-    ``block`` overrides the diagonal class's degree one block; the test
-    suite uses that to confirm that a degenerate block destroys the
-    injectivity of the differential.
-    """
+    with trivial coefficients."""
     if n < 2:
         raise OutOfRangeError("need at least 2 strands, got %r" % n)
     if g < 0:
         raise InputError("genus must be nonnegative, got %r" % g)
     diag = diagonal_class(g)
-    if block is not None:
-        if len(block.rows) != 2 * g or block.ncols != 2 * g:
-            raise InputError("override block must be 2g x 2g")
-        diag = DiagonalClass(g, diag.e1, diag.e2, block)
     pairs = _pair_list(n)
     h = 2 * g
     rank10 = h * n
     rank01 = len(pairs)
-    rank20 = n + rank01 * h * h if g >= 1 else n
-    # dense exact arithmetic; refuse fragments that cannot fit in memory
+    rank20 = n + rank01 * h * h
+    # bounds the work a strand count may ask for; the columns themselves
+    # hold only 2 + 2g entries each
     if rank20 * rank01 > 4_000_000:
         raise OutOfRangeError(
-            "fragment differential has %d x %d entries; the dense exact "
-            "computation is limited to 4e6" % (rank20, rank01)
+            "fragment differential has %d x %d entries; the strand count is "
+            "limited to fragments of at most 4e6 entries" % (rank20, rank01)
         )
-    labels01 = tuple("G_%d_%d" % (i + 1, j + 1) for i, j in pairs)
-    labels20 = tuple("H2_%d" % (i + 1) for i in range(n)) + tuple(
-        "H1_%dxH1_%d" % (i + 1, j + 1) for i, j in pairs
-    )
-    flat = diag.block_flat()
-    rows = [[0] * rank01 for _ in range(rank20)]
+    block = [
+        (a * h + b, v)
+        for a, row in enumerate(diag.block)
+        for b, v in enumerate(row)
+        if v
+    ]
+    d2 = []
     for c, (i, j) in enumerate(pairs):
-        rows[i][c] = diag.e1
-        rows[j][c] = diag.e2
+        col = {i: diag.e1, j: diag.e2}
         off = n + c * h * h
-        for k, v in enumerate(flat):
-            rows[off + k][c] = v
-    d2 = IntMatrix(rows, ncols=rank01)
-    return E2Fragment(g, n, rank10, rank01, rank20, d2, labels01, labels20)
-
-
-def _cstar_fragment(n: int) -> E2Fragment:
-    """Fragment for the once punctured plane: the differential vanishes
-    because the pair classes and the diagonal classes sit in different
-    weights of the mixed structure."""
-    if n < 2:
-        raise OutOfRangeError("need at least 2 strands, got %r" % n)
-    pairs = _pair_list(n)
-    rank01 = len(pairs)
-    labels01 = tuple("G_%d_%d" % (i + 1, j + 1) for i, j in pairs)
-    labels20 = tuple("H1_%dxH1_%d" % (i + 1, j + 1) for i, j in pairs)
-    d2 = IntMatrix([[0] * rank01 for _ in range(rank01)], ncols=rank01)
-    return E2Fragment(-1, n, n, rank01, rank01, d2, labels01, labels20)
+        for k, v in block:
+            col[off + k] = v
+        d2.append(col)
+    return E2Fragment(g, n, rank10, rank01, rank20, tuple(d2))
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +145,10 @@ def b1_pure_braid(space: SpaceSpec, n: int) -> B1Report:
     kind = space.kind
     if kind == "genus":
         frag = e2_trivial(space.genus, n)
-        rank, torsion = elementary_divisor_profile(frag.d2)
+        divisors = column_divisors(frag.d2)
+        rank = len(divisors)
         assert rank == frag.rank01, "pair differential lost injectivity"
-        assert not torsion, "pair differential cokernel grew torsion"
-        divisors = (1,) * rank
+        assert set(divisors) <= {1}, "pair differential cokernel grew torsion"
         return B1Report(
             space,
             n,
@@ -191,8 +161,9 @@ def b1_pure_braid(space: SpaceSpec, n: int) -> B1Report:
         )
     if kind == "sphere":
         frag = e2_trivial(0, n)
-        rank, torsion = elementary_divisor_profile(frag.d2)
-        divisors = (1,) * (rank - len(torsion)) + torsion
+        divisors = column_divisors(frag.d2)
+        rank = len(divisors)
+        torsion = tuple(d for d in divisors if d > 1)
         if n == 2:
             return B1Report(
                 space,
@@ -224,15 +195,18 @@ def b1_pure_braid(space: SpaceSpec, n: int) -> B1Report:
             anchors=("sphere-h1-rank", "sphere-h1-torsion"),
         )
     if kind == "c-star":
-        frag = _cstar_fragment(n)
+        # the differential vanishes: the pair classes and the diagonal
+        # classes sit in different weights of the mixed structure, so
+        # the n factor classes and the C(n,2) pair classes all survive
+        pairs = n * (n - 1) // 2
         return B1Report(
             space,
             n,
-            frag.rank10 + frag.rank01,
+            n + pairs,
             (),
             0,
             (),
-            (frag.rank10, frag.rank01, frag.rank20),
+            (n, pairs, pairs),
             anchors=("cstar-h1-rank",),
         )
     raise OutOfScopeError(

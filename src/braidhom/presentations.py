@@ -249,10 +249,11 @@ def artin_pure_relators(n: int) -> tuple[Word, ...]:
     strands.  For each lower generator q and fiber generator f we compute
     the conjugate q f q^-1 as a word in fiber letters by composing the
     braid automorphisms of the fiber free group, which produces one
-    relator per pair.  The direction of the action depends on composition
-    order conventions, so it is probed per lower generator and every
-    emitted relator is checked to act trivially on F_n; the faithfulness
-    of that action makes the check a proof.
+    relator per pair.  In this composition convention conjugation by the
+    pair generator acts on the fiber as the mirrored braid word (every
+    crossing flipped, order kept).  Every emitted relator is checked to
+    act trivially on F_n; the faithfulness of that action makes the
+    check a proof, whatever the convention.
     """
     if n < 1:
         raise InputError("strand count must be positive, got %d" % n)
@@ -263,39 +264,9 @@ def artin_pure_relators(n: int) -> tuple[Word, ...]:
         # fiber letters x_i <-> pair (i, j), free group of rank j
         for r in range(j):
             for s in range(r + 1, j):
-                base = _pure_gen_letters(r, s)
-                # In this composition convention conjugation by the pair
-                # generator acts on the fiber as the mirrored braid word
-                # (every crossing flipped, order kept); the remaining
-                # pairings keep the probe honest if a convention shifts.
-                mirror = _braid_endo(_mirror_letters(base), j)
-                reverse = _braid_endo(list(reversed(base)), j)
-                forward = _braid_endo(base, j)
-                backward = _braid_endo(_invert_letters(base), j)
-                actions = (
-                    (1, mirror),
-                    (-1, reverse),
-                    (1, backward),
-                    (-1, forward),
-                    (1, reverse),
-                    (-1, mirror),
-                    (1, forward),
-                    (-1, backward),
-                )
-                chosen = None
-                for orient, act in actions:
-                    cand = _conjugation_relator(r, s, j, 0, orient, act, index)
-                    if _acts_trivially(cand, pairs, n):
-                        chosen = (orient, act)
-                        break
-                if chosen is None:
-                    raise AssertionError(
-                        "no orientation of the action verified for pair "
-                        "(%d, %d) at level %d" % (r, s, j)
-                    )
-                orient, act = chosen
+                act = _braid_endo(_mirror_letters(_pure_gen_letters(r, s)), j)
                 for i in range(j):
-                    rel = _conjugation_relator(r, s, j, i, orient, act, index)
+                    rel = _conjugation_relator(r, s, j, i, act, index)
                     if not _acts_trivially(rel, pairs, n):
                         raise AssertionError(
                             "derived relator failed the Aut(F_n) check at "
@@ -305,11 +276,11 @@ def artin_pure_relators(n: int) -> tuple[Word, ...]:
     return tuple(rels)
 
 
-def _conjugation_relator(r, s, j, i, orient, act: Endo, index) -> Word:
-    """q^orient f q^-orient (image)^-1 with f the i-th fiber letter."""
+def _conjugation_relator(r, s, j, i, act: Endo, index) -> Word:
+    """q f q^-1 (image)^-1 with f the i-th fiber letter."""
     image = act[i]
     translated = Word(tuple((index[(g, j)], sign) for g, sign in image.letters))
-    q = generator_word(index[(r, s)], orient)
+    q = generator_word(index[(r, s)])
     f = generator_word(index[(i, j)])
     return q * f * q.inverse() * translated.inverse()
 
@@ -365,9 +336,13 @@ def product_presentation(*factors: Presentation) -> Presentation:
 
 # Catalog ids arrive from the command line, so their sizes are bounded
 # before anything is built: the artin_pure:n derivation grows steeply with
-# n (seconds at n=12, minutes past 16) and free:k takes memory linear in k.
+# n (seconds at n=12, minutes past 16), free:k takes memory linear in k,
+# the surface:g relator is built in time quadratic in g, and a product
+# has one cross commutator per pair of generators from different factors.
 _CATALOG_MAX_STRANDS = 12
 _CATALOG_MAX_FREE_RANK = 10**5
+_CATALOG_MAX_GENUS = 2000
+_CATALOG_MAX_PRODUCT_SIZE = 2 * 10**6
 
 
 def catalog(spec: str) -> Presentation:
@@ -375,9 +350,10 @@ def catalog(spec: str) -> Presentation:
 
     Grammar: ``surface:g`` | ``free:k`` | ``artin_pure:n`` |
     ``product(id,id,...)`` with ids nested recursively.  ``artin_pure:n``
-    with n > 12 and ``free:k`` with k > 10^5 raise
-    :class:`OutOfRangeError`; :func:`artin_pure_presentation` and
-    :func:`free_presentation` take any size.
+    with n > 12, ``free:k`` with k > 10^5, ``surface:g`` with g > 2000
+    and products whose generator count times relator count exceeds
+    2 * 10^6 raise :class:`OutOfRangeError`; the builders themselves
+    take any size.
     """
     spec = spec.strip()
     if spec.startswith("product(") and spec.endswith(")"):
@@ -398,7 +374,18 @@ def catalog(spec: str) -> Presentation:
         parts.append("".join(current))
         if any(not p.strip() for p in parts):
             raise InputError("empty factor in product id %r" % spec)
-        return product_presentation(*(catalog(p) for p in parts))
+        factors = [catalog(p) for p in parts]
+        gens = [p.num_generators for p in factors]
+        relators = sum(p.num_relators for p in factors) + sum(
+            a * b for k, a in enumerate(gens) for b in gens[k + 1 :]
+        )
+        if sum(gens) * relators > _CATALOG_MAX_PRODUCT_SIZE:
+            raise OutOfRangeError(
+                "%s has %d generators and %d relators: the catalog is limited "
+                "to products of at most %d generators x relators"
+                % (spec, sum(gens), relators, _CATALOG_MAX_PRODUCT_SIZE)
+            )
+        return product_presentation(*factors)
     kind, sep, param = spec.partition(":")
     if not sep:
         raise InputError("catalog id %r needs a :parameter" % spec)
@@ -407,6 +394,11 @@ def catalog(spec: str) -> Presentation:
     except ValueError:
         raise InputError("catalog parameter %r is not an integer" % param) from None
     if kind == "surface":
+        if value > _CATALOG_MAX_GENUS:
+            raise OutOfRangeError(
+                "surface:%d: the catalog is limited to genus %d"
+                % (value, _CATALOG_MAX_GENUS)
+            )
         return surface_presentation(value)
     if kind == "free":
         if value > _CATALOG_MAX_FREE_RANK:

@@ -273,7 +273,14 @@ class TestVerifyCommand:
 
 class TestCatalogLimits:
     @pytest.mark.parametrize(
-        "spec", ["artin_pure:13", "free:100001", "product(free:1,artin_pure:13)"]
+        "spec",
+        [
+            "artin_pure:13",
+            "free:100001",
+            "product(free:1,artin_pure:13)",
+            "surface:2001",
+            "product(free:100,free:101)",
+        ],
     )
     def test_oversized_catalog_exits_2(self, spec, capsys):
         code, out, err = run_cli(["abelianize", "--catalog", spec], capsys)
@@ -283,6 +290,17 @@ class TestCatalogLimits:
 
 
 class TestVerdictOutput:
+    @pytest.mark.parametrize(
+        "space, rank", [("higher-dim:4:finite", 0), ("higher-dim:4:other:3", 3 * 10**9)]
+    )
+    def test_billion_strands_higher_dim(self, space, rank, capsys):
+        # the n-fold homology profile is built in one step, not n sums
+        code, out, _ = run_cli(
+            ["verdict", "--space", space, "--n", "1000000000"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["witnesses"]["h1_rank"] == rank
+
     def test_full_flavor_trace_extends_pure(self, capsys):
         _, pure_out, _ = run_cli(
             ["verdict", "--space", "genus:2", "--n", "2"], capsys

@@ -19,7 +19,7 @@ from braidhom.exactlin import (
     QMat,
     bareiss_determinant,
     cokernel_profile,
-    elementary_divisor_profile,
+    column_divisors,
     elementary_divisors,
     is_unimodular,
     smith_normal_form,
@@ -82,7 +82,7 @@ class TestSmithNormalForm:
     def test_empty_matrix(self):
         a = IntMatrix([], ncols=4)
         assert elementary_divisors(a) == ()
-        assert elementary_divisor_profile(a) == (0, ())
+        assert cokernel_profile(a) == AbelianProfile(0)
 
     def test_identity(self):
         a = IntMatrix.identity(4)
@@ -90,7 +90,7 @@ class TestSmithNormalForm:
 
     def test_profile_splits_torsion(self):
         a = IntMatrix([[2, 4], [6, 8]])
-        assert elementary_divisor_profile(a) == (2, (2, 4))
+        assert cokernel_profile(a) == AbelianProfile(0, (2, 4))
 
     @settings(max_examples=150, deadline=None)
     @given(small_matrices)
@@ -170,11 +170,11 @@ class TestSparseFrontEnd:
 
     def test_units_that_appear_only_after_elimination(self):
         # the Schur complement of the corner 1 is 7 - 3 * 2 = 1
-        cols, row_index = _sparse_columns(IntMatrix([[1, 2], [3, 7]]))
+        cols, row_index = _sparse_columns([{0: 1, 1: 3}, {0: 2, 1: 7}])
         assert _eliminate_units(cols, row_index) == 2
         assert cols == {}
         # no unit at all until the dense engine has reduced 2 and 3
-        cols, row_index = _sparse_columns(IntMatrix([[2, 3]]))
+        cols, row_index = _sparse_columns([{0: 2}, {0: 3}])
         assert _eliminate_units(cols, row_index) == 0
 
     def test_matches_dense_engine_on_random_matrices(self):
@@ -209,6 +209,40 @@ class TestSparseFrontEnd:
             a = _random_unimodular(rng, m) @ diag @ _random_unimodular(rng, n)
             assert elementary_divisors(a) == tuple(chain)
             assert smith_normal_form(a).divisors == tuple(chain)
+
+
+class TestColumnDivisors:
+    """``column_divisors`` takes one {row: value} dict per column;
+    ``elementary_divisors`` is that on the columns of an ``IntMatrix``."""
+
+    def test_examples(self):
+        assert column_divisors([]) == ()
+        assert column_divisors([{}, {}]) == ()
+        assert column_divisors([{0: 2, 1: 6}, {0: 4, 1: 8}]) == (2, 4)
+        # K_3's incidence matrix, rows far apart and zeros written out
+        cols = [{0: 1, 50: 1}, {0: 1, 99: 1}, {50: 1, 99: 1, 7: 0}]
+        assert column_divisors(cols) == (1, 1, 2)
+
+    def test_argument_unchanged(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            cols = []
+            for _ in range(rng.randint(0, 8)):
+                rows = rng.sample(range(8), rng.randint(0, 5))
+                cols.append({i: rng.choice((-2, -1, 1, 3)) for i in rows})
+            before = [dict(c) for c in cols]
+            column_divisors(cols)
+            assert cols == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices)
+    def test_matches_columns_of_matrix(self, a):
+        cols = [
+            {i: row[j] for i, row in enumerate(a.rows) if row[j]}
+            for j in range(a.ncols)
+        ]
+        assert column_divisors(cols) == elementary_divisors(a)
+        assert column_divisors(cols) == smith_normal_form(a).divisors
 
 
 class TestDeterminant:
@@ -259,6 +293,25 @@ class TestAbelianProfile:
     def test_n_fold(self):
         assert AbelianProfile(2).n_fold(3) == AbelianProfile(6)
         assert AbelianProfile(0, (2,)).n_fold(2) == AbelianProfile(0, (2, 2))
+        assert AbelianProfile(3, (2, 6)).n_fold(0) == AbelianProfile(0)
+        with pytest.raises(ValueError):
+            AbelianProfile(1).n_fold(-1)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            AbelianProfile(0),
+            AbelianProfile(1, (2,)),
+            AbelianProfile(0, (2, 6)),
+            AbelianProfile(2, (3, 12, 60)),
+            AbelianProfile(1, (4, 4, 20)),
+        ],
+    )
+    def test_n_fold_is_repeated_direct_sum(self, profile):
+        total = AbelianProfile(0)
+        for n in range(1, 7):
+            total = total.direct_sum(profile)
+            assert profile.n_fold(n) == total
 
     def test_cokernel(self):
         # Z^2 modulo the column (2, 0) and (0, 3): Z/2 + Z/3 = Z/6.

@@ -138,6 +138,8 @@ class TestCatalogProducts:
             ("artin_pure:13", "artin_pure_presentation", False),
             ("free:100000", "free_presentation", True),
             ("free:100001", "free_presentation", False),
+            ("surface:2000", "surface_presentation", True),
+            ("surface:2001", "surface_presentation", False),
         ],
     )
     def test_catalog_size_bounds(self, monkeypatch, spec, builder, inside):
@@ -153,6 +155,36 @@ class TestCatalogProducts:
             assert calls == [size]
         else:
             with pytest.raises(OutOfRangeError, match="limited to .*%d" % (size - 1)):
+                catalog(spec)
+            assert calls == []
+
+    @pytest.mark.parametrize(
+        "spec, inside",
+        [
+            # 200 generators x 10^4 cross commutators = 2 * 10^6
+            ("product(free:100,free:100)", True),
+            ("product(free:100,free:101)", False),
+            # 1414 x 1413 and 1415 x 1414
+            ("product(free:1,free:1413)", True),
+            ("product(free:1,free:1414)", False),
+            # 4004 generators x (2 + 4000 * 4) relators; 12 x (3 + 48)
+            ("product(surface:2000,surface:2)", False),
+            ("product(surface:2,surface:2,surface:2)", True),
+        ],
+    )
+    def test_catalog_product_bound(self, monkeypatch, spec, inside):
+        # the product builder is a stub, so no cross commutator is built
+        calls = []
+        monkeypatch.setattr(
+            presentations,
+            "product_presentation",
+            lambda *factors: calls.append(len(factors)) or "built",
+        )
+        if inside:
+            assert catalog(spec) == "built"
+            assert len(calls) == 1
+        else:
+            with pytest.raises(OutOfRangeError, match="limited to .*2000000"):
                 catalog(spec)
             assert calls == []
 
