@@ -403,11 +403,6 @@ class AbelianProfile:
         if any(t < 2 for t in self.torsion):
             raise ValueError("torsion divisors must be > 1")
 
-    def direct_sum(self, other: "AbelianProfile") -> "AbelianProfile":
-        merged = sorted(self.torsion + other.torsion)
-        # Re-chain by prime powers so divisibility holds again.
-        return AbelianProfile(self.rank + other.rank, _rechain(merged))
-
     def n_fold(self, n: int) -> "AbelianProfile":
         """The direct sum of n copies: each divisor of the chain repeated
         n times is again a chain."""
@@ -416,38 +411,6 @@ class AbelianProfile:
         return AbelianProfile(
             self.rank * n, tuple(d for d in self.torsion for _ in range(n))
         )
-
-
-def _rechain(divisors: list[int]) -> tuple[int, ...]:
-    """Normalize a multiset of cyclic orders into a divisor chain."""
-    from collections import defaultdict
-
-    powers: dict[int, list[int]] = defaultdict(list)
-    for d in divisors:
-        x = d
-        p = 2
-        while p * p <= x:
-            if x % p == 0:
-                e = 0
-                while x % p == 0:
-                    x //= p
-                    e += 1
-                powers[p].append(p**e)
-            p += 1
-        if x > 1:
-            powers[x].append(x)
-    if not powers:
-        return ()
-    depth = max(len(v) for v in powers.values())
-    chain = []
-    for k in range(depth):
-        entry = 1
-        for p, lst in powers.items():
-            lst_sorted = sorted(lst, reverse=True)
-            if k < len(lst_sorted):
-                entry *= lst_sorted[k]
-        chain.append(entry)
-    return tuple(sorted(chain))
 
 
 def cokernel_profile(a: IntMatrix) -> AbelianProfile:
@@ -523,9 +486,6 @@ class QMat:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def trace(self) -> Fraction:
-        return sum(self.rows[i][i] for i in range(self.n))
 
     def determinant(self) -> Fraction:
         # Plain fraction Gaussian elimination; matrices here are tiny.

@@ -20,13 +20,22 @@ from .errors import (
     OutOfScopeError,
 )
 from .exactlin import column_divisors
-from .presentations import (
-    CharacterTuple,
-    SpaceSpec,
-    _pair_list,
-    free_presentation,
-    surface_presentation,
-)
+from .presentations import CharacterTuple, SpaceSpec, _pair_list, catalog
+
+
+# One bound on the work a strand count may ask for, checked by arithmetic
+# before anything is built: it caps the nonzero entries of the pair
+# differential, the components of a jump locus and the index pairs of a
+# character tuple.  At 2 * 10^5 nonzeros the Smith form of the sparse
+# pair differential takes about a second (genus:2 admits n <= 258).
+_SIZE_LIMIT = 200_000
+
+
+def _check_size(count: int, what: str) -> None:
+    if count > _SIZE_LIMIT:
+        raise OutOfRangeError(
+            "%s number %d; they are limited to %d" % (what, count, _SIZE_LIMIT)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -36,13 +45,13 @@ from .presentations import (
 class DiagonalClass:
     """Coordinates of the diagonal of a two-fold surface product in the
     product basis of its degree two cohomology: the coefficients on the
-    two orientation classes and the rows of a 2g x 2g integer block on
-    the product of the degree one parts."""
+    two orientation classes and the nonzero (row, col, value) entries of
+    a 2g x 2g integer block on the product of the degree one parts."""
 
     genus: int
     e1: int
     e2: int
-    block: tuple[tuple[int, ...], ...]
+    block: tuple[tuple[int, int, int], ...]
 
 
 def diagonal_class(g: int) -> DiagonalClass:
@@ -55,11 +64,11 @@ def diagonal_class(g: int) -> DiagonalClass:
     """
     if g < 0:
         raise InputError("genus must be nonnegative, got %r" % g)
-    rows = [[0] * (2 * g) for _ in range(2 * g)]
+    block = []
     for k in range(g):
-        rows[2 * k][2 * k + 1] = 1
-        rows[2 * k + 1][2 * k] = -1
-    return DiagonalClass(g, 1, 1, tuple(map(tuple, rows)))
+        block.append((2 * k, 2 * k + 1, 1))
+        block.append((2 * k + 1, 2 * k, -1))
+    return DiagonalClass(g, 1, 1, tuple(block))
 
 
 # ---------------------------------------------------------------------------
@@ -89,25 +98,14 @@ def e2_trivial(g: int, n: int) -> E2Fragment:
         raise OutOfRangeError("need at least 2 strands, got %r" % n)
     if g < 0:
         raise InputError("genus must be nonnegative, got %r" % g)
+    h = 2 * g
+    rank01 = n * (n - 1) // 2
+    _check_size(rank01 * (2 + h), "nonzero entries of the pair differential")
     diag = diagonal_class(g)
     pairs = _pair_list(n)
-    h = 2 * g
     rank10 = h * n
-    rank01 = len(pairs)
     rank20 = n + rank01 * h * h
-    # bounds the work a strand count may ask for; the columns themselves
-    # hold only 2 + 2g entries each
-    if rank20 * rank01 > 4_000_000:
-        raise OutOfRangeError(
-            "fragment differential has %d x %d entries; the strand count is "
-            "limited to fragments of at most 4e6 entries" % (rank20, rank01)
-        )
-    block = [
-        (a * h + b, v)
-        for a, row in enumerate(diag.block)
-        for b, v in enumerate(row)
-        if v
-    ]
+    block = [(a * h + b, v) for a, b, v in diag.block]
     d2 = []
     for c, (i, j) in enumerate(pairs):
         col = {i: diag.e1, j: diag.e2}
@@ -223,9 +221,9 @@ def factor_presentation(space: SpaceSpec):
     the genus g surface group, or the free group of rank one for the
     punctured plane."""
     if space.kind == "genus":
-        return surface_presentation(space.genus)
+        return catalog("surface:%d" % space.genus)
     if space.kind == "c-star":
-        return free_presentation(1)
+        return catalog("free:1")
     raise OutOfScopeError(
         "twisted computations cover closed genus g >= 1 surfaces and the "
         "once punctured plane; got %r" % space.kind
@@ -235,6 +233,7 @@ def factor_presentation(space: SpaceSpec):
 def _check_tuple(space: SpaceSpec, n: int, rho: CharacterTuple):
     if n < 2:
         raise OutOfRangeError("need at least 2 strands, got %r" % n)
+    _check_size(n * (n - 1) // 2, "index pairs of the tuple")
     if rho.n_components != n:
         raise InputError(
             "tuple has %d components for n = %d" % (rho.n_components, n)
@@ -301,6 +300,9 @@ def sigma1_components(space: SpaceSpec, n: int) -> JumpLocusDescription:
     as subsets of the character torus of the factor group product."""
     if n < 2:
         raise OutOfRangeError("need at least 2 strands, got %r" % n)
+    if space.kind in ("genus", "c-star"):
+        per_strand = space.kind == "genus" and space.genus >= 2
+        _check_size(n if per_strand else n * (n - 1) // 2, "jump locus components")
     if space.kind == "genus":
         g = space.genus
         if g >= 2:

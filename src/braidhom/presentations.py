@@ -164,10 +164,11 @@ def free_presentation(k: int) -> Presentation:
 #
 # An endomorphism of the free group F_m is a tuple of m Words, the images
 # of the generators.  The braid group acts through the usual rule on a
-# punctured disk fundamental group; composing those endomorphisms letter by
-# letter gives an exact, convention-stable calculus, and the action is
-# faithful, so "this word acts trivially on F_n" decides triviality in the
-# braid group.
+# punctured disk fundamental group: a letter braiding punctures k, k+1
+# moves only the images of x_k and x_{k+1}, so a braid word is applied by
+# updating those two words letter by letter.  The calculus is exact and
+# convention-stable, and the action is faithful, so "this word acts
+# trivially on F_n" decides triviality in the braid group.
 
 Endo = tuple[Word, ...]
 
@@ -176,38 +177,17 @@ def _identity_endo(m: int) -> Endo:
     return tuple(generator_word(i) for i in range(m))
 
 
-def _endo_apply(endo: Endo, w: Word) -> Word:
-    out = Word()
-    for g, s in w.letters:
-        img = endo[g]
-        out = out * (img if s == 1 else img.inverse())
-    return out
-
-
-def _endo_compose(f: Endo, g: Endo) -> Endo:
-    """The endomorphism x -> f(g(x))."""
-    return tuple(_endo_apply(f, w) for w in g)
-
-
-def _sigma_endo(k: int, m: int, sign: int) -> Endo:
-    """Elementary braid automorphism of F_m braiding punctures k, k+1."""
-    images = list(_identity_endo(m))
-    xk = generator_word(k)
-    xk1 = generator_word(k + 1)
-    if sign == 1:
-        images[k] = xk * xk1 * xk.inverse()
-        images[k + 1] = xk
-    else:
-        images[k] = xk1
-        images[k + 1] = xk1.inverse() * xk * xk1
-    return tuple(images)
-
-
 def _braid_endo(letters: Sequence[tuple[int, int]], m: int) -> Endo:
-    acc = _identity_endo(m)
+    """The endomorphism x -> b_1(b_2(...(x))) of F_m for the braid word
+    b_1 b_2 ..., each letter (k, sign) braiding punctures k, k+1."""
+    images = list(_identity_endo(m))
     for k, sign in letters:
-        acc = _endo_compose(acc, _sigma_endo(k, m, sign))
-    return acc
+        a, b = images[k], images[k + 1]
+        if sign == 1:
+            images[k], images[k + 1] = a * b * a.inverse(), a
+        else:
+            images[k], images[k + 1] = b, b.inverse() * a * b
+    return tuple(images)
 
 
 def _pure_gen_letters(r: int, s: int) -> list[tuple[int, int]]:
@@ -247,7 +227,7 @@ def artin_pure_relators(n: int) -> tuple[Word, ...]:
     group is an iterated extension: adding strand j gives a free fiber on
     the pairs (i, j), i < j, acted on by the subgroup on the first j
     strands.  For each lower generator q and fiber generator f we compute
-    the conjugate q f q^-1 as a word in fiber letters by composing the
+    the conjugate q f q^-1 as a word in fiber letters by applying the
     braid automorphisms of the fiber free group, which produces one
     relator per pair.  In this composition convention conjugation by the
     pair generator acts on the fiber as the mirrored braid word (every
@@ -336,7 +316,7 @@ def product_presentation(*factors: Presentation) -> Presentation:
 
 # Catalog ids arrive from the command line, so their sizes are bounded
 # before anything is built: the artin_pure:n derivation grows steeply with
-# n (seconds at n=12, minutes past 16), free:k takes memory linear in k,
+# n (about a second at n=12, four at n=15), free:k takes memory linear in k,
 # the surface:g relator is built in time quadratic in g, and a product
 # has one cross commutator per pair of generators from different factors.
 _CATALOG_MAX_STRANDS = 12

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 from .anchors import anchor_text
 from .cohomology import abelianization
 from .cyclotomic import is_prime
-from .errors import InputError, OutOfRangeError, OutOfScopeError
+from .errors import InputError, OutOfScopeError
 from .exactlin import AbelianProfile
 from .leray import (
     b1_pure_braid,
@@ -272,14 +272,7 @@ def _case_hyperbolic_free(k: int, n: int) -> tuple[str, list[TraceStep], dict]:
 
 def _case_genus_high(space: SpaceSpec, n: int) -> tuple[str, list[TraceStep], dict]:
     g = space.genus
-    try:
-        b1 = b1_pure_braid(space, n).free_rank
-        b1_origin = "computed"
-    except OutOfRangeError:
-        # past the dense-arithmetic guard the witness falls back to the
-        # closed form the cited statement asserts for every n
-        b1 = 2 * g * n
-        b1_origin = "closed form"
+    b1 = b1_pure_braid(space, n).free_rank
     pv = pullback_vanishing(g, n, 2).value
     after = 2 * g * (n - 1)
     steps = [
@@ -295,8 +288,8 @@ def _case_genus_high(space: SpaceSpec, n: int) -> tuple[str, list[TraceStep], di
             "R4",
             "h1-iso-pullback",
             "the product of those fibrations pulls degree one cohomology "
-            "back isomorphically, matching the %s first Betti "
-            "number %d" % (b1_origin, b1),
+            "back isomorphically, matching the computed first Betti "
+            "number %d" % b1,
         ),
         _step(
             "R4",
@@ -324,10 +317,7 @@ def _case_genus_high(space: SpaceSpec, n: int) -> tuple[str, list[TraceStep], di
             "contradiction" % (2 * g, 4 * g, after, b1),
         ),
     ]
-    witnesses = {"b1": b1, "h4_pullback": pv, "rank_after_factoring": after}
-    if b1_origin == "closed form":
-        witnesses["b1_source"] = "closed-form"
-    return NOT_KAHLER, steps, witnesses
+    return NOT_KAHLER, steps, {"b1": b1, "h4_pullback": pv, "rank_after_factoring": after}
 
 
 def _case_genus_one(space: SpaceSpec, n: int) -> tuple[str, list[TraceStep], dict]:

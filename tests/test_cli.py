@@ -7,6 +7,7 @@ of the default stdout of every subcommand."""
 import argparse
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,37 @@ class TestCatalogLimits:
         assert err.startswith("error: ") and "limited to" in err
 
 
+class TestSizeLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "b1 --space genus:2 --n 1000000000",
+            "b1 --space genus:1000000000 --n 2",
+            "verdict --space genus:2 --n 1000000000",
+            "verdict --space c-star --n 1000000000",
+            "sigma1 --space genus:2 --n 1000000000",
+        ],
+    )
+    def test_huge_input_exits_2_at_once(self, argv, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv.split(), capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "limited to" in err
+
+    @pytest.mark.parametrize("command", ["twisted", "membership"])
+    def test_factor_genus_bounded_before_reading(self, command, tmp_path, capsys):
+        # the surface group goes through the catalog, whose genus bound
+        # fires before the character file is read
+        missing = str(tmp_path / "absent.json")
+        argv = [command, "--space", "genus:6000", "--n", "2", "--char", missing]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "limited to genus 2000" in err
+
+
 class TestVerdictOutput:
     @pytest.mark.parametrize(
         "space, rank", [("higher-dim:4:finite", 0), ("higher-dim:4:other:3", 3 * 10**9)]
@@ -326,7 +358,9 @@ class TestVerdictOutput:
 
 # ---------------------------------------------------------------------------
 # golden stdout: sha256 of the default output of each argv, recorded from
-# the code before the symbolic group ring was removed.  "@name" stands for
+# the code before the symbolic group ring was removed; the two genus:2
+# verdicts were recorded once b1 was computed for every admitted n, since
+# n = 33 used to quote the closed form.  "@name" stands for
 # a file written under tmp_path from GOLDEN_FILES ("@p2_torus" is the data
 # file in the repository).
 
@@ -403,7 +437,9 @@ GOLDEN = [
     ("tangent --genus 3",
      "aa90a962ed8905af36d970e59e9f37fcc339dd745c5eaf5fe969068643239f30"),
     ("verdict --space genus:2 --n 33",
-     "54cee11c20ccbbaaf5fdcab5956457a07572d4d9f3d19e29bb151a7291405152"),
+     "c2410a5dc4af17a38437260efb48818fc289ad13a3fdae25c0f7601557e6c0cb"),
+    ("verdict --space genus:2 --n 64",
+     "f458f567c1877bad2a61b5c03b82af94a746031af48c904afb5b0a434afa1cbf"),
     ("verdict --space genus:1 --n 3 --flavor full",
      "e41be9625f2e280f278b19e655544ef9bae03ca5955e9a610da827326458fb83"),
     ("verdict --space c-star --n 3",

@@ -17,9 +17,11 @@ from braidhom.exactlin import (
     smith_normal_form,
 )
 from braidhom.leray import (
+    _SIZE_LIMIT as SIZE_LIMIT,
     b1_pure_braid,
     diagonal_class,
     e2_trivial,
+    factor_presentation,
     h1_twisted_pure_braid,
     pullback_vanishing,
     sigma1_components,
@@ -59,7 +61,11 @@ class TestDiagonalClass:
     def test_block_determinant_one(self, g):
         d = diagonal_class(g)
         assert len(d.block) == 2 * g
-        assert bareiss_determinant(IntMatrix(d.block, ncols=2 * g)) == 1
+        rows = [[0] * (2 * g) for _ in range(2 * g)]
+        for a, b, v in d.block:
+            assert v and not rows[a][b]
+            rows[a][b] = v
+        assert bareiss_determinant(IntMatrix(rows, ncols=2 * g)) == 1
 
     def test_negative_genus(self):
         with pytest.raises(InputError):
@@ -117,6 +123,16 @@ class TestE2Fragment:
     def test_strand_bound(self):
         with pytest.raises(OutOfRangeError):
             e2_trivial(1, 1)
+
+    # the largest strand count (or genus at n = 2) whose pair differential
+    # holds at most SIZE_LIMIT nonzeros, C(n,2) (2 + 2g) of them
+    @pytest.mark.parametrize("g,n", [(0, 447), (1, 316), (2, 258), (99999, 2)])
+    def test_size_bound_edge(self, g, n):
+        f = e2_trivial(g, n)
+        assert sum(map(len, f.d2)) == f.rank01 * (2 + 2 * g) <= SIZE_LIMIT
+        big_g, big_n = (g + 1, n) if n == 2 else (g, n + 1)
+        with pytest.raises(OutOfRangeError, match="limited to %d" % SIZE_LIMIT):
+            e2_trivial(big_g, big_n)
 
 
 class TestB1Reports:
@@ -199,6 +215,20 @@ class TestTwisted:
         r1 = nontrivial(G2_AB, 3, a1=1)
         rho = CharacterTuple([r1, r1.inverse()])
         assert h1_twisted_pure_braid(GENUS2, 2, rho) == 0
+
+    def test_pair_count_bound(self):
+        # C(633, 2) pairs exceed the bound, which fires before the tuple
+        # is looked at; C(632, 2) pass it and reach the component count
+        rho = CharacterTuple([Character(CSTAR_AB, 1)] * 2)
+        with pytest.raises(OutOfRangeError, match="limited to %d" % SIZE_LIMIT):
+            h1_twisted_pure_braid(CSTAR, 633, rho)
+        with pytest.raises(InputError, match="2 components for n = 632"):
+            h1_twisted_pure_braid(CSTAR, 632, rho)
+
+    def test_factor_group_has_catalog_bound(self):
+        assert factor_presentation(SpaceSpec.parse("genus:2000")).num_generators == 4000
+        with pytest.raises(OutOfRangeError, match="limited to genus 2000"):
+            factor_presentation(SpaceSpec.parse("genus:2001"))
 
     def test_cstar_one_sided(self):
         r2 = nontrivial(CSTAR_AB, 4, a=1)
@@ -286,6 +316,17 @@ class TestSigmaComponents:
     def test_out_of_scope(self):
         with pytest.raises(OutOfScopeError):
             sigma1_components(SPHERE, 3)
+
+    # one component per strand in genus >= 2, one per pair otherwise
+    @pytest.mark.parametrize(
+        "space,n",
+        [(GENUS2, SIZE_LIMIT), (GENUS1, 632), (CSTAR, 632)],
+        ids=["genus:2", "genus:1", "c-star"],
+    )
+    def test_size_bound_edge(self, space, n):
+        assert len(sigma1_components(space, n).components) <= SIZE_LIMIT
+        with pytest.raises(OutOfRangeError, match="limited to %d" % SIZE_LIMIT):
+            sigma1_components(space, n + 1)
 
 
 class TestMembership:

@@ -214,6 +214,14 @@ rel: A2_3 A3_4 A2_3^-1 A3_4^-1 A2_4^-1 A3_4^-1 A2_4 A3_4
 """
 
 PURE_BRAID_5_SHA = "4b5aec7523a84810907632da93ec665fa8458d2cb558698fab34fb47933b08f1"
+PURE_BRAID_SHA = {
+    5: PURE_BRAID_5_SHA,
+    6: "333d601985a1c0e34586825750a9ea7219953481f6c2af559d08881e18330d63",
+    7: "0b74dbbbf70dfdf70dadebf1436dea67572c31dbce50df389e1fc91bde50fe42",
+    8: "35496abf297571683f9e189ae8a29b22831ac865753718517a27d2e8e821d9b2",
+    9: "4fc0f12439460ad4d12c0d24387fcbaa4987157aa6c79ecaa973f703d9ce2db2",
+    10: "215b143eb4db0c88c2ee7233976477d2f962f1ca5b8decdc6fb37b401bf232e7",
+}
 
 
 class TestArtinPureBraid:
@@ -234,6 +242,11 @@ class TestArtinPureBraid:
     def test_frozen_table_five_hash(self):
         text = serialize_presentation(artin_pure_presentation(5))
         assert hashlib.sha256(text.encode()).hexdigest() == PURE_BRAID_5_SHA
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+    def test_frozen_table_hash(self, n):
+        text = serialize_presentation(artin_pure_presentation(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == PURE_BRAID_SHA[n]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_relators_act_trivially(self, n):

@@ -496,22 +496,31 @@ class TestWitnessConsistency:
 
 
 class TestDenseGuardFallback:
+    """n = 33 is the first genus 2 strand count the dense-matrix guard
+    refused; b1 is computed on both sides of it, and only the size bound
+    (n <= 258) stops the verdict."""
+
     def test_inside_guard_b1_is_computed(self):
         v = kahler_verdict(SpaceSpec.parse("genus:2"), 32, "pure")
         assert v.witnesses == {"b1": 128, "h4_pullback": 0, "rank_after_factoring": 124}
         assert "computed first Betti number 128" in v.trace[1].text
 
-    def test_past_guard_b1_is_flagged_closed_form(self):
+    @pytest.mark.parametrize("n", [33, 64])
+    def test_past_old_guard_b1_is_computed(self, n):
         space = SpaceSpec.parse("genus:2")
-        with pytest.raises(OutOfRangeError):
-            b1_pure_braid(space, 33)
-        v = kahler_verdict(space, 33, "pure")
+        assert b1_pure_braid(space, n).free_rank == 4 * n
+        v = kahler_verdict(space, n, "pure")
         assert v.status == NOT_KAHLER
-        assert v.witnesses["b1"] == 132
-        assert v.witnesses["b1_source"] == "closed-form"
-        step = v.trace[1]
-        assert "first Betti number 132" in step.text
-        assert "computed" not in step.text
+        assert v.witnesses == {
+            "b1": 4 * n,
+            "h4_pullback": 0,
+            "rank_after_factoring": 4 * (n - 1),
+        }
+        assert "matching the computed first Betti number %d" % (4 * n) in v.trace[1].text
+
+    def test_past_size_bound_fails(self):
+        with pytest.raises(OutOfRangeError, match="limited to"):
+            kahler_verdict(SpaceSpec.parse("genus:2"), 259, "pure")
 
 
 class TestObstructionHelpers:
