@@ -26,6 +26,7 @@ from .cohomology import (
 )
 from .errors import BraidhomError, InputError
 from .leray import (
+    E2_SUPPORT_FLAG,
     b1_pure_braid,
     e2_trivial,
     factor_presentation,
@@ -50,7 +51,11 @@ __all__ = ["main"]
 _TEXT_TO_KEY = {text: key for key, text in ANCHORS.items()}
 
 
-def _emit(payload: dict) -> None:
+def _emit(payload: dict, flags=()) -> None:
+    """Print one payload; a ``flags`` list is added only where there is
+    something to flag, so payloads with nothing to flag keep their keys."""
+    if flags:
+        payload["flags"] = list(flags)
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
@@ -143,10 +148,12 @@ def _cmd_twisted(args) -> int:
     alphabet = factor_presentation(space).alphabet
     rho = CharacterTuple.from_json(alphabet, _load_json_file(args.char))
     value = h1_twisted_pure_braid(space, args.n, rho)
+    flags = ()
     if space.kind == "c-star":
         keys = ["cstar-h1-rank"]
     elif space.genus == 1:
         keys = ["torus-pair-count"]
+        flags = (E2_SUPPORT_FLAG,) if args.n >= 3 else ()
     else:
         keys = ["twisted-h1-transfer"]
     _emit(
@@ -155,7 +162,8 @@ def _cmd_twisted(args) -> int:
             "n": args.n,
             "space": args.space,
             "anchors": anchor_json(keys),
-        }
+        },
+        flags,
     )
     return 0
 
@@ -201,7 +209,8 @@ def _cmd_sigma1(args) -> int:
                 for c in desc.components
             ],
             "anchors": anchor_json(list(desc.anchors)),
-        }
+        },
+        desc.flags,
     )
     return 0
 
@@ -218,7 +227,8 @@ def _cmd_membership(args) -> int:
             "h1": report.h1,
             "trivial": report.trivial,
             "anchors": anchor_json(list(report.anchors)),
-        }
+        },
+        report.flags,
     )
     return 0
 

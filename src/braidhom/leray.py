@@ -5,14 +5,16 @@ forgetful fibrations give a second page whose bottom corner is spanned
 by one class per unordered pair of strands; the differential sends a
 pair class to the diagonal cohomology class of that pair of factors.
 Everything downstream of that differential lives here: untwisted Betti
-numbers with torsion reports, twisted first cohomology dimensions,
-jump locus descriptions with membership tests, surjection exclusions,
-and the vanishing fact for pulled back top classes.
+numbers with torsion reports, twisted first cohomology dimensions and
+the jump locus descriptions and membership tests read off the same
+support rule, and the vanishing fact for pulled back top classes.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional
 
-from .cohomology import h0_dim, h1_dim, kunneth_h1
+from .cohomology import abelianization, h1_dim, kunneth_h1
 from .errors import (
     AlphabetMismatchError,
     InputError,
@@ -246,39 +248,68 @@ def _check_tuple(space: SpaceSpec, n: int, rho: CharacterTuple):
     return factor
 
 
-def _trivial_pair_count(rho: CharacterTuple) -> int:
-    n = rho.n_components
-    return sum(1 for i, j in _pair_list(n) if rho.pair_product_trivial(i, j))
+def _support_pair(rho: CharacterTuple) -> Optional[tuple[int, int]]:
+    """The index pair whose class lies on the (0,1) spot of the second
+    page at a nontrivial tuple: its two characters multiply to the
+    trivial one and every other component is trivial.  A nontrivial
+    tuple has at most one such pair; None when it has none."""
+    moved = [k for k in range(rho.n_components) if not rho.component_trivial(k)]
+    if len(moved) == 2 and rho.pair_product_trivial(*moved):
+        return moved[0], moved[1]
+    return None
+
+
+def _h1_on_factor(space: SpaceSpec, n: int, rho: CharacterTuple, factor) -> int:
+    if rho.is_trivial:
+        return b1_pure_braid(space, n).free_rank
+    h1 = {}
+    profiles = []
+    for i in range(n):
+        chi = rho.component(i)
+        if chi not in h1:
+            h1[chi] = h1_dim(factor, chi)
+        profiles.append((int(rho.component_trivial(i)), h1[chi]))
+    value = kunneth_h1(profiles)
+    pair = _support_pair(rho)
+    if pair is not None and h1[rho.component(pair[0])] == 0:
+        value += 1
+    return value
 
 
 def h1_twisted_pure_braid(space: SpaceSpec, n: int, rho: CharacterTuple) -> int:
     """Dimension of the first cohomology of the pure braid group at a
-    tuple of factor characters.
+    tuple of factor characters, read off the Leray spectral sequence of
+    the inclusion of the configuration space into the n-fold product.
 
-    The recipe is the degree (1,0) dimension (a Kunneth sum of factor
-    profiles) plus the number of index pairs whose characters cancel,
-    minus the rank of the twisted pair differential.  For genus at
-    least 2 the differential has full rank on the matching pairs; over
-    the torus and the punctured plane it vanishes.  The fully trivial
-    tuple over the torus is routed to the untwisted Betti number, where
-    the differential is injective rather than zero.
+    At the trivial tuple that is the untwisted first Betti number.
+    Otherwise the degree (1,0) part is the Kunneth sum of the factor
+    profiles, and the only pair class on the (0,1) spot is that of the
+    support pair, when the tuple has one.  Its differential is the
+    twisted diagonal class in H^1(chi_i) (x) H^1(chi_i^-1), which
+    vanishes exactly when the factor has no first cohomology at chi_i:
+    over the torus and the punctured plane the pair class survives and
+    adds 1, for genus at least 2 it does not.
     """
     factor = _check_tuple(space, n, rho)
-    genus = space.genus if space.kind == "genus" else None
-    if genus == 1 and rho.is_trivial:
-        return b1_pure_braid(space, n).free_rank
-    profiles = []
-    for i in range(n):
-        chi = rho.component(i)
-        profiles.append((h0_dim(factor, chi), h1_dim(factor, chi)))
-    kunneth = kunneth_h1(profiles)
-    pairs = _trivial_pair_count(rho)
-    d2_rank = pairs if (genus is not None and genus >= 2) else 0
-    return kunneth + pairs - d2_rank
+    return _h1_on_factor(space, n, rho, factor)
 
 
 # ---------------------------------------------------------------------------
 # jump loci
+
+# one fixed sentence for every payload whose cited statement the support
+# rule contradicts: the torus and punctured plane loci from 3 strands on
+E2_SUPPORT_FLAG = (
+    "for n >= 3 the computed value departs from the cited statement: by "
+    "the support rule of the Leray second page a pair of mutually inverse "
+    "characters jumps only when every other component is trivial"
+)
+
+
+def _departure_flags(space: SpaceSpec, n: int) -> tuple[str, ...]:
+    pairs_cited = space.kind == "c-star" or space.genus == 1
+    return (E2_SUPPORT_FLAG,) if pairs_cited and n >= 3 else ()
+
 
 @dataclass(frozen=True)
 class SigmaComponent:
@@ -293,67 +324,83 @@ class JumpLocusDescription:
     ambient_dim: int
     components: tuple[SigmaComponent, ...]
     anchors: tuple[str, ...] = ()
+    flags: tuple[str, ...] = ()
+
+
+_PAIR_AMBIENT = {
+    "genus": "character torus of the %d-fold torus group product",
+    "c-star": "pulled back character torus of the %d-fold free rank one product",
+}
+
+
+def _sigma1_anchors(space: SpaceSpec) -> tuple[str, ...]:
+    if space.kind == "genus":
+        if space.genus >= 2:
+            return ("sigma1-surface",)
+        return ("sigma1-torus", "sigma1-torus-generic")
+    if space.kind == "c-star":
+        return ("sigma1-cstar",)
+    raise OutOfScopeError(
+        "jump locus descriptions cover closed genus g >= 1 surfaces and the "
+        "once punctured plane; got %r" % space.kind
+    )
+
+
+@lru_cache(maxsize=None)
+def _character_torus_dim(space: SpaceSpec) -> int:
+    """Dimension of the factor group's character torus: the rank of its
+    abelianization."""
+    return abelianization(factor_presentation(space)).rank
 
 
 def sigma1_components(space: SpaceSpec, n: int) -> JumpLocusDescription:
     """The components of the first jump locus of the pure braid group,
-    as subsets of the character torus of the factor group product."""
+    as subsets of the character torus of the factor group product.
+
+    For genus g >= 2 they are the pullbacks of the factor character
+    torus along the n projections.  Over the torus and the punctured
+    plane they are the support pairs of the twisted dimension: a pair of
+    mutually inverse characters with every other component trivial,
+    one copy of the factor character torus per index pair.
+    """
     if n < 2:
         raise OutOfRangeError("need at least 2 strands, got %r" % n)
-    if space.kind in ("genus", "c-star"):
-        per_strand = space.kind == "genus" and space.genus >= 2
-        _check_size(n if per_strand else n * (n - 1) // 2, "jump locus components")
-    if space.kind == "genus":
+    anchors = _sigma1_anchors(space)
+    if space.kind == "genus" and space.genus >= 2:
         g = space.genus
-        if g >= 2:
-            comps = tuple(
-                SigmaComponent(
-                    "pi_%d" % (i + 1),
-                    2 * g,
-                    "every component other than %d is trivial" % (i + 1),
-                )
-                for i in range(n)
-            )
-            return JumpLocusDescription(
-                "character torus of the %d-fold genus %d surface group product"
-                % (n, g),
-                2 * g * n,
-                comps,
-                anchors=("sigma1-surface",),
-            )
+        _check_size(n, "jump locus components")
         comps = tuple(
             SigmaComponent(
-                "T_%d_%d" % (i + 1, j + 1),
-                2 * n - 2,
-                "components %d and %d are mutually inverse" % (i + 1, j + 1),
+                "pi_%d" % (i + 1),
+                2 * g,
+                "every component other than %d is trivial" % (i + 1),
             )
-            for i, j in _pair_list(n)
+            for i in range(n)
         )
         return JumpLocusDescription(
-            "character torus of the %d-fold torus group product" % n,
-            2 * n,
+            "character torus of the %d-fold genus %d surface group product"
+            % (n, g),
+            2 * g * n,
             comps,
-            anchors=("sigma1-torus", "sigma1-torus-generic"),
+            anchors=anchors,
         )
-    if space.kind == "c-star":
-        comps = tuple(
-            SigmaComponent(
-                "T_%d_%d" % (i + 1, j + 1),
-                n - 1,
-                "components %d and %d are mutually inverse" % (i + 1, j + 1),
-            )
-            for i, j in _pair_list(n)
+    _check_size(n * (n - 1) // 2, "jump locus components")
+    dim = _character_torus_dim(space)
+    rest = " and every other component is trivial" if n > 2 else ""
+    comps = tuple(
+        SigmaComponent(
+            "T_%d_%d" % (i + 1, j + 1),
+            dim,
+            "components %d and %d are mutually inverse%s" % (i + 1, j + 1, rest),
         )
-        return JumpLocusDescription(
-            "pulled back character torus of the %d-fold free rank one product"
-            % n,
-            n,
-            comps,
-            anchors=("sigma1-cstar",),
-        )
-    raise OutOfScopeError(
-        "jump locus descriptions cover closed genus g >= 1 surfaces and the "
-        "once punctured plane; got %r" % space.kind
+        for i, j in _pair_list(n)
+    )
+    return JumpLocusDescription(
+        _PAIR_AMBIENT[space.kind] % n,
+        dim * n,
+        comps,
+        anchors=anchors,
+        flags=_departure_flags(space, n),
     )
 
 
@@ -364,6 +411,7 @@ class MembershipReport:
     h1: int
     trivial: bool
     anchors: tuple[str, ...] = ()
+    flags: tuple[str, ...] = ()
 
 
 def sigma1_membership(space: SpaceSpec, n: int, rho: CharacterTuple) -> MembershipReport:
@@ -371,101 +419,25 @@ def sigma1_membership(space: SpaceSpec, n: int, rho: CharacterTuple) -> Membersh
     containing components and the twisted dimension that witnesses the
     answer.  The fully trivial tuple is flagged; it lies in every
     component and always jumps."""
-    _check_tuple(space, n, rho)
-    desc = sigma1_components(space, n)
-    containing: list[str] = []
+    factor = _check_tuple(space, n, rho)
+    trivial = rho.is_trivial
     if space.kind == "genus" and space.genus >= 2:
-        for i in range(n):
-            if all(rho.component_trivial(j) for j in range(n) if j != i):
-                containing.append("pi_%d" % (i + 1))
+        # pi_i holds the tuples whose components other than i are trivial
+        moved = [k for k in range(n) if not rho.component_trivial(k)]
+        strands = moved if len(moved) == 1 else range(n) if trivial else ()
+        containing = ["pi_%d" % (i + 1) for i in strands]
+    elif trivial:
+        containing = ["T_%d_%d" % (i + 1, j + 1) for i, j in _pair_list(n)]
     else:
-        for i, j in _pair_list(n):
-            if rho.pair_product_trivial(i, j):
-                containing.append("T_%d_%d" % (i + 1, j + 1))
-    h1 = h1_twisted_pure_braid(space, n, rho)
+        pair = _support_pair(rho)
+        containing = [] if pair is None else ["T_%d_%d" % (pair[0] + 1, pair[1] + 1)]
     return MembershipReport(
         bool(containing),
         tuple(containing),
-        h1,
-        rho.is_trivial,
-        anchors=desc.anchors,
-    )
-
-
-# ---------------------------------------------------------------------------
-# surjection exclusions
-
-@dataclass(frozen=True)
-class ExclusionReport:
-    excluded: bool
-    reason: str
-    comparison: str = ""
-    conditional: bool = False
-    anchors: tuple[str, ...] = ()
-
-
-def surjection_excluded(space: SpaceSpec, n: int, h: int) -> ExclusionReport:
-    """Whether the jump locus dimension arguments rule out a surjection
-    from the pure braid group onto a closed surface group of genus h."""
-    if h < 2:
-        raise OutOfScopeError(
-            "the exclusion arguments concern surface targets of genus >= 2"
-        )
-    if n < 2:
-        raise OutOfRangeError("need at least 2 strands, got %r" % n)
-    if space.kind == "genus":
-        g = space.genus
-        if g >= 2:
-            excluded = h > g
-            if excluded:
-                reason = (
-                    "the pulled back character variety would be a 2h "
-                    "dimensional subtorus of a jump locus whose components "
-                    "have dimension 2g"
-                )
-            else:
-                reason = "the target genus fits inside a component"
-            return ExclusionReport(
-                excluded,
-                reason,
-                "2h = %d versus 2g = %d" % (2 * h, 2 * g),
-                anchors=("surjection-genus-bound",),
-            )
-        if n >= 3:
-            excluded = h >= n - 1
-            if excluded:
-                reason = (
-                    "a pulled back character variety of dimension 2h cannot "
-                    "sit inside the pair subtori without forcing the generic "
-                    "twisted dimension above 1"
-                )
-            else:
-                reason = "the target genus is below the pair torus threshold"
-            return ExclusionReport(
-                excluded,
-                reason,
-                "h = %d versus n - 1 = %d" % (h, n - 1),
-                anchors=("surjection-torus-bound", "sigma1-torus-generic"),
-            )
-        return ExclusionReport(
-            False,
-            "the pair torus argument needs at least 3 strands",
-            "n = 2",
-            anchors=("sigma1-torus",),
-        )
-    if space.kind == "c-star":
-        return ExclusionReport(
-            False,
-            "only surjections whose pulled back character variety contains "
-            "a pair subtorus are excluded; the report is conditional on that "
-            "containment",
-            "pair subtorus dimension n - 1 = %d" % (n - 1),
-            conditional=True,
-            anchors=("surjection-cstar-conditional",),
-        )
-    raise OutOfScopeError(
-        "surjection exclusions cover closed genus g >= 1 surfaces and the "
-        "once punctured plane; got %r" % space.kind
+        _h1_on_factor(space, n, rho, factor),
+        trivial,
+        anchors=_sigma1_anchors(space),
+        flags=_departure_flags(space, n),
     )
 
 

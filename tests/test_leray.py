@@ -1,9 +1,11 @@
 """Tests for the spectral sequence fragments, Betti reports, twisted
-dimensions, jump loci, and exclusion logic."""
+dimensions and jump loci."""
+
+import itertools
 
 import pytest
 
-from braidhom.cohomology import random_character, seeded_rng
+from braidhom.cohomology import random_character, random_character_tuple, seeded_rng
 from braidhom.errors import (
     AlphabetMismatchError,
     InputError,
@@ -26,7 +28,6 @@ from braidhom.leray import (
     pullback_vanishing,
     sigma1_components,
     sigma1_membership,
-    surjection_excluded,
 )
 from braidhom.presentations import (
     Character,
@@ -35,6 +36,7 @@ from braidhom.presentations import (
     free_presentation,
     surface_presentation,
 )
+from braidhom.verify import _independent_h1
 
 GENUS1 = SpaceSpec.parse("genus:1")
 GENUS2 = SpaceSpec.parse("genus:2")
@@ -202,9 +204,11 @@ class TestB1Reports:
 
 class TestTwisted:
     def test_torus_pair_count_example(self):
+        # the total character sigma . sigma^-1 . sigma = sigma is
+        # nontrivial, so the split-off Z^2 factor kills h1
         sigma = nontrivial(TORUS_AB, 5, a=1)
         rho = CharacterTuple([sigma, sigma.inverse(), sigma])
-        assert h1_twisted_pure_braid(GENUS1, 3, rho) == 2
+        assert h1_twisted_pure_braid(GENUS1, 3, rho) == 0
 
     def test_genus2_one_sided(self):
         r1 = nontrivial(G2_AB, 3, a1=1)
@@ -268,31 +272,64 @@ class TestTwisted:
             h1_twisted_pure_braid(SPHERE, 2, rho)
 
     def test_generic_pair_torus_value(self):
-        # tuples in exactly one pair torus have twisted dimension 1
+        # the support pair alone gives 1; one more nontrivial component
+        # leaves no pair class on the second page and gives 0
         rng = seeded_rng(404)
         found = 0
         while found < 50:
             n = rng.choice((3, 4))
             i = rng.randrange(n - 1)
             j = rng.randrange(i + 1, n)
-            comps: list[Character] = []
-            for k in range(n):
-                comps.append(random_character(TORUS_AB, rng, max_order=9))
-            chi = comps[i]
+            chi = random_character(TORUS_AB, rng, max_order=9)
             if chi.is_trivial:
                 continue
-            comps[j] = chi.inverse()
-            rho = CharacterTuple(comps)
-            hits = [
-                (a, b)
-                for a in range(n)
-                for b in range(a + 1, n)
-                if rho.pair_product_trivial(a, b)
-            ]
-            if hits != [(i, j)]:
-                continue
-            assert h1_twisted_pure_braid(GENUS1, n, rho) == 1
+            comps = [Character(TORUS_AB, 1)] * n
+            comps[i], comps[j] = chi, chi.inverse()
+            assert h1_twisted_pure_braid(GENUS1, n, CharacterTuple(comps)) == 1
+            k = rng.choice([k for k in range(n) if k not in (i, j)])
+            comps[k] = random_character(TORUS_AB, rng, max_order=9, nontrivial=True)
+            assert h1_twisted_pure_braid(GENUS1, n, CharacterTuple(comps)) == 0
             found += 1
+
+
+class TestIndependentRoutes:
+    """The support rule against routes that share nothing with it: Fox
+    calculus on ``artin_pure:n+1`` at the pulled back character for the
+    punctured plane and on ``data/p2_torus.pres`` for the two-strand
+    torus (both through ``verify._independent_h1``), and the vanishing a
+    nontrivial total character forces on the torus."""
+
+    @pytest.mark.parametrize("n,order", [(3, 5), (4, 3)])
+    def test_cstar_every_tuple_matches_fox(self, n, order):
+        for exps in itertools.product(range(order), repeat=n):
+            rho = CharacterTuple(Character(CSTAR_AB, order, [e]) for e in exps)
+            got = h1_twisted_pure_braid(CSTAR, n, rho)
+            assert got == _independent_h1(CSTAR, n, rho), exps
+
+    def test_p2_torus_every_tuple_matches_fox(self):
+        for exps in itertools.product(range(4), repeat=4):
+            rho = CharacterTuple(
+                [Character(TORUS_AB, 4, exps[:2]), Character(TORUS_AB, 4, exps[2:])]
+            )
+            expected = _independent_h1(GENUS1, 2, rho)
+            assert expected is not None
+            assert h1_twisted_pure_braid(GENUS1, 2, rho) == expected, exps
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_torus_nontrivial_total_character_vanishes(self, n):
+        # P_n(T) = Z^2 x P_(n-1)(T minus a point), and the Z^2 factor acts
+        # through the product of the characters
+        rng = seeded_rng(700 + n)
+        checked = 0
+        while checked < 200:
+            rho = random_character_tuple(TORUS_AB, n, rng, max_order=8, pair_bias=0.4)
+            total = rho.component(0)
+            for i in range(1, n):
+                total = total * rho.component(i)
+            if total.is_trivial:
+                continue
+            assert h1_twisted_pure_braid(GENUS1, n, rho) == 0
+            checked += 1
 
 
 class TestSigmaComponents:
@@ -305,12 +342,13 @@ class TestSigmaComponents:
     def test_torus_three_strands(self):
         d = sigma1_components(GENUS1, 3)
         assert [c.label for c in d.components] == ["T_1_2", "T_1_3", "T_2_3"]
-        assert {c.dimension for c in d.components} == {4}
+        assert {c.dimension for c in d.components} == {2}
+        assert d.flags
 
     def test_cstar_three_strands(self):
         d = sigma1_components(CSTAR, 3)
         assert len(d.components) == 3
-        assert {c.dimension for c in d.components} == {2}
+        assert {c.dimension for c in d.components} == {1}
         assert d.ambient_dim == 3
 
     def test_out_of_scope(self):
@@ -359,11 +397,36 @@ class TestMembership:
         assert m.member
         assert m.h1 > 0
 
+    def test_support_pair_only(self):
+        sigma = nontrivial(TORUS_AB, 5, a=1)
+        one = Character(TORUS_AB, 1)
+        m = sigma1_membership(GENUS1, 3, CharacterTuple([sigma, one, sigma.inverse()]))
+        assert (m.components, m.h1) == (("T_1_3",), 1)
+        assert m.flags
+        m = sigma1_membership(GENUS1, 3, CharacterTuple([sigma, sigma, sigma.inverse()]))
+        assert (m.member, m.components, m.h1) == (False, (), 0)
+
+    def test_one_factor_build_one_h1_per_distinct_component(self, monkeypatch):
+        import braidhom.leray as leray
+        import braidhom.presentations as presentations
+
+        builds, chars = [], []
+        build, h1 = presentations.surface_presentation, leray.h1_dim
+        monkeypatch.setattr(
+            presentations, "surface_presentation", lambda g: builds.append(g) or build(g)
+        )
+        monkeypatch.setattr(leray, "h1_dim", lambda p, chi: chars.append(chi) or h1(p, chi))
+        sigma = nontrivial(G2_AB, 3, a1=1)
+        one = Character(G2_AB, 1)
+        rho = CharacterTuple([one, sigma, one, one])
+        m = sigma1_membership(GENUS2, 4, rho)
+        assert m.components == ("pi_2",) and m.h1 == 2
+        assert builds == [2]
+        assert len(chars) == 2 and set(chars) == set(rho.components)
+
     @pytest.mark.parametrize("space", [GENUS1, GENUS2, CSTAR])
     @pytest.mark.parametrize("n", [2, 3])
     def test_bidirectionality(self, space, n):
-        from braidhom.cohomology import random_character_tuple
-
         ab = (
             surface_presentation(space.genus).alphabet
             if space.kind == "genus"
@@ -405,36 +468,6 @@ class TestWitnesses:
         assert len(set(ws)) == 12
         for rho in ws:
             assert sigma1_membership(GENUS1, 2, rho).components == ("T_1_2",)
-
-
-class TestSurjectionExcluded:
-    def test_genus2_five_strands_target3(self):
-        r = surjection_excluded(GENUS2, 5, 3)
-        assert r.excluded
-        assert "2h = 6" in r.comparison
-
-    def test_torus_four_strands_target3(self):
-        r = surjection_excluded(GENUS1, 4, 3)
-        assert r.excluded
-
-    def test_torus_four_strands_target2(self):
-        assert not surjection_excluded(GENUS1, 4, 2).excluded
-
-    def test_torus_two_strands_silent(self):
-        r = surjection_excluded(GENUS1, 2, 2)
-        assert not r.excluded
-
-    def test_genus3_small_target_allowed(self):
-        assert not surjection_excluded(GENUS3, 2, 2).excluded
-
-    def test_cstar_conditional(self):
-        r = surjection_excluded(CSTAR, 4, 2)
-        assert not r.excluded
-        assert r.conditional
-
-    def test_low_genus_target_out_of_scope(self):
-        with pytest.raises(OutOfScopeError):
-            surjection_excluded(GENUS2, 3, 1)
 
 
 class TestPullback:

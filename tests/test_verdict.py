@@ -433,17 +433,21 @@ class TestRuleTraces:
         assert v.witnesses["component_dim"] == 2
         assert v.witnesses["component_count"] == 1
 
-    def test_genus_one_more_strands_forces_fibration(self):
+    def test_genus_one_more_strands_beauville_dimension_two(self):
+        # the computed pair components have the dimension of the torus's
+        # own character torus at every n, so no fibration is forced
         for n in (3, 4, 5):
             v = kahler_verdict(SpaceSpec.parse("genus:1"), n, "pure")
             anchors = [s.anchor for s in v.trace]
             assert anchors == [
                 ANCHOR_FIXTURE["sigma1-torus"],
-                ANCHOR_FIXTURE["beauville-fibration"],
-                ANCHOR_FIXTURE["surjection-torus-bound"],
+                ANCHOR_FIXTURE["beauville-untranslated"],
             ]
-            assert v.witnesses["forced_genus"] == n - 1
-            assert v.witnesses["surjection_excluded"] is True
+            assert v.witnesses == {
+                "component_count": n * (n - 1) // 2,
+                "component_dim": 2,
+                "ambient_dim": 2 * n,
+            }
 
     def test_cstar_two_strands_parity(self):
         v = kahler_verdict(SpaceSpec.parse("c-star"), 2, "pure")
@@ -464,10 +468,14 @@ class TestRuleTraces:
             ANCHOR_FIXTURE["beauville-fibration"],
             ANCHOR_FIXTURE["surjection-cstar-conditional"],
         ]
+        # the cited dimension n - 1 is kept, next to the computed one
         assert v.witnesses == {
             "component_dim": 3,
+            "computed_component_dim": 1,
             "conditional_exclusion": True,
         }
+        assert "cited jump locus" in v.trace[0].text
+        assert "computed jump locus" not in v.trace[0].text
 
 
 class TestWitnessConsistency:
@@ -492,7 +500,7 @@ class TestWitnessConsistency:
         assert v.witnesses["b1"] == b1_pure_braid(space, 2).free_rank
         v4 = kahler_verdict(space, 4, "pure")
         locus = sigma1_components(space, 4)
-        assert v4.witnesses["component_dim"] == locus.components[0].dimension
+        assert v4.witnesses["computed_component_dim"] == locus.components[0].dimension
 
 
 class TestDenseGuardFallback:
@@ -564,8 +572,9 @@ class TestObstructionHelpers:
     def test_beauville_on_computed_locus_dimensions(self):
         locus = sigma1_components(SpaceSpec.parse("genus:1"), 3)
         out = beauville_obstruction([c.dimension for c in locus.components])
-        assert out.kind == "forced-fibration"
-        assert out.forced_genus == 2
+        assert out.kind == "obstruction"
+        assert out.dimension == 2
+        assert out.forced_genus is None
 
 
 class TestWreath:
