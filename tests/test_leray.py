@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from braidhom.anchors import anchor_text
 from braidhom.cohomology import random_character, random_character_tuple, seeded_rng
 from braidhom.errors import (
     AlphabetMismatchError,
@@ -36,6 +37,7 @@ from braidhom.presentations import (
     free_presentation,
     surface_presentation,
 )
+from braidhom.verdict import kahler_verdict
 from braidhom.verify import _independent_h1
 
 GENUS1 = SpaceSpec.parse("genus:1")
@@ -468,6 +470,21 @@ class TestWitnesses:
         assert len(set(ws)) == 12
         for rho in ws:
             assert sigma1_membership(GENUS1, 2, rho).components == ("T_1_2",)
+
+
+class TestSurjectionExcluded:
+    def test_cstar_conditional(self):
+        # on C* with 4 strands the computed pair component (dimension 1)
+        # falls short of the cited subtorus (dimension n - 1 = 3), so the
+        # surjection exclusion stays conditional rather than outright
+        locus = sigma1_components(CSTAR, 4)
+        assert locus.components[0].dimension == 1
+        assert locus.flags
+        v = kahler_verdict(CSTAR, 4, "pure")
+        assert v.trace[-1].anchor == anchor_text("surjection-cstar-conditional")
+        assert v.witnesses["conditional_exclusion"] is True
+        assert v.witnesses["component_dim"] == 3
+        assert v.witnesses["computed_component_dim"] == locus.components[0].dimension
 
 
 class TestPullback:
