@@ -99,7 +99,8 @@ class FoxJacobian:
     is the space of 1-cocycles.  At a character (``order`` N) each entry
     is an element of Z[zeta_N], a mapping from exponents e to integer
     coefficients c standing for the sum of c * zeta^e; at a matrix
-    representation (``order`` None) entries are Fractions.
+    representation (``order`` None) entries are exact rationals, ints
+    where the denominator is 1 and Fractions elsewhere.
     """
 
     __slots__ = ("rows", "ncols", "num_relators", "num_generators", "dim", "order", "_coeff")

@@ -3,8 +3,11 @@
 Dense arbitrary precision matrices, Smith normal form with full unimodular
 transforms, elementary divisors through sparse unit-pivot elimination in
 front of the same dense engine, fraction free determinants, and a small
-rational matrix type used for group representations.  Everything here is
-pure Python on int and Fraction; no floating point is involved anywhere.
+rational matrix type used for group representations, whose entries are
+ints wherever the denominator is 1 and Fractions only elsewhere; its
+inverse and determinant clear denominators and run fraction free on
+integers.  Everything here is pure Python on int and Fraction; no
+floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -428,17 +433,34 @@ def cokernel_profile(a: IntMatrix) -> AbelianProfile:
 # Small rational matrices for representations.
 
 
-class QMat:
-    """Dense matrix over Q used for representation images.
+def _exact(e) -> int | Fraction:
+    """An exact rational entry: an int when its denominator is 1, a
+    Fraction otherwise.  Floats are refused; they are not exact."""
+    if isinstance(e, float):
+        raise TypeError("QMat entries must be exact rationals, got a float")
+    q = e if isinstance(e, Fraction) else Fraction(e)
+    return q.numerator if q.denominator == 1 else q
 
-    Entries are Fractions; supports products, inverse, and scalar action,
+
+def _ratio(a: int, b: int) -> int | Fraction:
+    """The exact quotient a / b of two ints: an int when b divides a."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
+class QMat:
+    """Dense square matrix over Q used for representation images.
+
+    Each entry is an int when its denominator is 1 and a Fraction
+    otherwise, so integer representations never build a Fraction.
+    Supports sums, products, inverse, determinant and scalar action,
     which is what word evaluation and adjoint construction need.
     """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Iterable[Sequence[Fraction | int]]):
-        self.rows = [[Fraction(e) for e in r] for r in rows]
+        self.rows = [[e if type(e) is int else _exact(e) for e in r] for r in rows]
         self.n = len(self.rows)
         if any(len(r) != self.n for r in self.rows):
             raise ValueError("QMat must be square")
@@ -469,62 +491,50 @@ class QMat:
 
     def __mul__(self, other):
         if isinstance(other, QMat):
-            n = self.n
-            out = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(n):
-                ri = self.rows[i]
-                for k in range(n):
-                    a = ri[k]
-                    if a:
-                        rk = other.rows[k]
-                        oi = out[i]
-                        for j in range(n):
-                            oi[j] += a * rk[j]
-            return QMat(out)
+            cols = list(zip(*other.rows))
+            return QMat([[sum(map(mul, r, c)) for c in cols] for r in self.rows])
         if isinstance(other, (int, Fraction)):
             return QMat([[e * other for e in r] for r in self.rows])
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def determinant(self) -> Fraction:
-        # Plain fraction Gaussian elimination; matrices here are tiny.
-        n = self.n
-        M = [r[:] for r in self.rows]
-        det = Fraction(1)
-        for k in range(n):
-            piv = next((i for i in range(k, n) if M[i][k]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
-                M[k], M[piv] = M[piv], M[k]
-                det = -det
-            det *= M[k][k]
-            inv = 1 / M[k][k]
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    f = M[i][k] * inv
-                    for j in range(k, n):
-                        M[i][j] -= f * M[k][j]
-        return det
+    def _cleared(self) -> tuple[list[list[int]], int]:
+        """(B, d) with B an integer matrix and self = B / d, d > 0 the
+        least common denominator of the entries."""
+        d = lcm(*(e.denominator for r in self.rows for e in r))
+        return [[e.numerator * (d // e.denominator) for e in r] for r in self.rows], d
+
+    def determinant(self) -> int | Fraction:
+        """det(B / d) = det(B) / d^n, with det(B) by Bareiss."""
+        b, d = self._cleared()
+        return _ratio(bareiss_determinant(IntMatrix(b, ncols=self.n)), d**self.n)
 
     def inverse(self) -> "QMat":
+        """Fraction free Gauss-Jordan on the integer [B | I], B = d * self.
+
+        Every division by the previous pivot is exact, and at the end
+        the left block is p * I and the right one p * B^-1 for the last
+        pivot p, so the inverse d * (right block) / p takes one division
+        per entry.
+        """
         n = self.n
-        M = [r[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-             for i, r in enumerate(self.rows)]
+        b, d = self._cleared()
+        M = [r + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(b)]
+        prev = 1
         for k in range(n):
             piv = next((i for i in range(k, n) if M[i][k]), None)
             if piv is None:
                 raise ZeroDivisionError("singular matrix")
-            if piv != k:
-                M[k], M[piv] = M[piv], M[k]
-            inv = 1 / M[k][k]
-            M[k] = [e * inv for e in M[k]]
+            M[k], M[piv] = M[piv], M[k]
+            Mk = M[k]
+            p = Mk[k]
             for i in range(n):
-                if i != k and M[i][k]:
+                if i != k:
                     f = M[i][k]
-                    M[i] = [a - f * b for a, b in zip(M[i], M[k])]
-        return QMat([r[n:] for r in M])
+                    M[i] = [(p * a - f * c) // prev for a, c in zip(M[i], Mk)]
+            prev = p
+        return QMat([[_ratio(d * e, prev) for e in r[n:]] for r in M])
 
     def is_identity(self) -> bool:
         return self == QMat.identity(self.n)

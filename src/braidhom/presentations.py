@@ -793,27 +793,27 @@ def _traceless_basis(d: int) -> list[QMat]:
     """Basis of trace zero d x d matrices: diagonal differences then E_ij."""
     basis = []
     for i in range(d - 1):
-        rows = [[Fraction(0)] * d for _ in range(d)]
-        rows[i][i] = Fraction(1)
-        rows[i + 1][i + 1] = Fraction(-1)
+        rows = [[0] * d for _ in range(d)]
+        rows[i][i] = 1
+        rows[i + 1][i + 1] = -1
         basis.append(QMat(rows))
     for i in range(d):
         for j in range(d):
             if i != j:
-                rows = [[Fraction(0)] * d for _ in range(d)]
-                rows[i][j] = Fraction(1)
+                rows = [[0] * d for _ in range(d)]
+                rows[i][j] = 1
                 basis.append(QMat(rows))
     return basis
 
 
-def _traceless_coords(m: QMat) -> list[Fraction]:
+def _traceless_coords(m: QMat) -> list[int | Fraction]:
     """Coordinates in the `_traceless_basis` order; trace must vanish."""
     d = m.n
     diag = [m.rows[i][i] for i in range(d)]
     if sum(diag) != 0:
         raise ValueError("matrix has nonzero trace")
     coords = []
-    acc = Fraction(0)
+    acc = 0
     for i in range(d - 1):
         acc += diag[i]
         coords.append(acc)

@@ -126,17 +126,12 @@ def parity_obstruction(profile: AbelianProfile) -> Optional[Obstruction]:
 
 @dataclass(frozen=True)
 class BeauvilleOutcome:
-    """What Beauville's theorem says about one untranslated torus component.
-
-    ``kind`` is ``obstruction`` (dimension 2 or odd: no compact Kahler
-    manifold has such a component) or ``forced-fibration`` (even
-    dimension 2g >= 4: the component must come from a fibration onto a
-    genus g curve, handing downstream rules a surjection to exclude).
-    """
+    """What Beauville's theorem says about one untranslated torus
+    component of dimension 2 or odd dimension: no compact Kahler
+    manifold has such a component."""
 
     kind: str
     dimension: int
-    forced_genus: Optional[int]
     anchors: tuple[str, ...]
 
 
@@ -145,29 +140,16 @@ def beauville_obstruction(dimensions: Sequence[int]) -> Optional[BeauvilleOutcom
     against Beauville's theorem.
 
     Jump locus components of braid groups are subtori through the
-    origin, so every component is untranslated.  A dimension 2 or odd
-    dimensional component is an immediate obstruction and wins over any
-    fibration conclusion; an even component of dimension >= 4 forces a
-    fibration onto a curve of half that genus.  Dimension 0 components
-    carry no information.
+    origin, so every component is untranslated.  The first component of
+    dimension 2 or of odd dimension is an obstruction; None when there
+    is none.  Dimension 0 components carry no information.
     """
     for dim in dimensions:
-        if dim == 0:
-            continue
         if dim == 2 or dim % 2 == 1:
             return BeauvilleOutcome(
                 kind="obstruction",
                 dimension=dim,
-                forced_genus=None,
                 anchors=("beauville-untranslated",),
-            )
-    for dim in dimensions:
-        if dim >= 4 and dim % 2 == 0:
-            return BeauvilleOutcome(
-                kind="forced-fibration",
-                dimension=dim,
-                forced_genus=dim // 2,
-                anchors=("beauville-fibration",),
             )
     return None
 

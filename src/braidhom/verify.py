@@ -261,14 +261,15 @@ def _independent_h1(space: SpaceSpec, n: int, rho: CharacterTuple) -> Optional[i
     """Twisted h1 of the pure braid group by a route that shares nothing
     with the second page support rule, or None where there is none.
 
-    The punctured plane's pure braid group is the subgroup of
-    ``artin_pure:n+1`` fixing the puncture as strand 1, and a tuple
-    pulls back to A1_(j+1) -> chi_j with every other generator trivial,
-    where Fox calculus gives h1.  The two-strand torus has the external
-    presentation.  On more strands the torus splits off a factor
-    Z^2 = pi_1(T) on which the product of the characters acts, so h1 is
-    0 whenever that product is nontrivial.  The trivial tuple has the
-    Betti numbers 2gn and n + C(n,2).
+    The punctured plane's pure braid group is all of ``artin_pure:n+1``,
+    with the puncture as strand 1: the configuration space of n + 1
+    points in the plane is the plane times that of n points in the
+    punctured plane.  A tuple pulls back to A1_(j+1) -> chi_j with every
+    other generator trivial, where Fox calculus gives h1.  The two-strand
+    torus has the external presentation.  On more strands the torus
+    splits off a factor Z^2 = pi_1(T) on which the product of the
+    characters acts, so h1 is 0 whenever that product is nontrivial.
+    The trivial tuple has the Betti numbers 2gn and n + C(n,2).
     """
     if rho.is_trivial:
         return n + math.comb(n, 2) if space.kind == "c-star" else 2 * space.genus * n

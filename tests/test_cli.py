@@ -148,6 +148,25 @@ class TestCharacterFiles:
         assert payload["components"] == ["T_1_2"]
         assert payload["trivial"] is False
 
+    @pytest.mark.parametrize("command", ["twisted", "membership"])
+    def test_factor_built_once_per_call(self, command, tmp_path, capsys, monkeypatch):
+        import braidhom.leray as leray
+        import braidhom.presentations as presentations
+
+        builds = []
+        build = presentations.surface_presentation
+        monkeypatch.setattr(
+            presentations, "surface_presentation", lambda g: builds.append(g) or build(g)
+        )
+        leray.factor_presentation.cache_clear()
+        rho = {"components": [NONTRIVIAL_GENUS2, TRIVIAL_GENUS2]}
+        path = write_json(tmp_path / "rho.json", rho)
+        argv = [command, "--space", "genus:2", "--n", "2", "--char", path]
+        assert run_cli(argv, capsys)[0] == 0
+        assert builds == [2]
+        assert run_cli(argv, capsys)[0] == 0
+        assert builds == [2]
+
     def test_malformed_char_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")

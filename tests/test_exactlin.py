@@ -272,8 +272,7 @@ class TestDeterminant:
         )
     )
     def test_matches_fraction_elimination(self, rows):
-        a = IntMatrix(rows)
-        assert bareiss_determinant(a) == QMat(rows).determinant()
+        assert bareiss_determinant(IntMatrix(rows)) == fraction_determinant(rows)
 
 
 class TestAbelianProfile:
@@ -318,7 +317,99 @@ class TestAbelianProfile:
         assert cokernel_profile(b) == AbelianProfile(1, (6,))
 
 
+def fraction_determinant(rows) -> Fraction:
+    """Determinant by plain Gaussian elimination over Fractions: an
+    oracle that shares no code with Bareiss."""
+    M = [[Fraction(e) for e in r] for r in rows]
+    n = len(M)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            M[k], M[piv] = M[piv], M[k]
+            det = -det
+        det *= M[k][k]
+        for i in range(k + 1, n):
+            f = M[i][k] / M[k][k]
+            for j in range(k, n):
+                M[i][j] -= f * M[k][j]
+    return det
+
+
+def adjugate_inverse(rows) -> list[list[Fraction]]:
+    """Inverse of a rational matrix by cofactors: with B = d * A integral,
+    A^-1 = d * adj(B) / det(B), each cofactor a Bareiss determinant of a
+    minor of B."""
+    n = len(rows)
+    d = math.lcm(*(Fraction(e).denominator for r in rows for e in r))
+    b = [[int(Fraction(e) * d) for e in r] for r in rows]
+    det = bareiss_determinant(IntMatrix(b))
+
+    def cofactor(i, j):
+        minor = [r[:j] + r[j + 1 :] for k, r in enumerate(b) if k != i]
+        return (-1) ** (i + j) * bareiss_determinant(IntMatrix(minor, ncols=n - 1))
+
+    return [[Fraction(d * cofactor(j, i), det) for j in range(n)] for i in range(n)]
+
+
+def assert_exact_entries(m: QMat):
+    """No entry is a float; an entry with denominator 1 is an int and
+    any other a Fraction."""
+    for r in m.rows:
+        for e in r:
+            assert not isinstance(e, float)
+            if e.denominator == 1:
+                assert type(e) is int
+            else:
+                assert type(e) is Fraction
+
+
+def invertible_matrices(entries):
+    return st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+        ).filter(lambda rows: fraction_determinant(rows) != 0)
+    )
+
+
+SMALL_INTS = st.integers(min_value=-9, max_value=9)
+SMALL_RATIONALS = st.one_of(
+    SMALL_INTS, st.fractions(min_value=-5, max_value=5, max_denominator=7)
+)
+
+
 class TestQMat:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(invertible_matrices(SMALL_INTS), invertible_matrices(SMALL_RATIONALS)),
+        st.one_of(SMALL_INTS, st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+    )
+    def test_exact_inverse_against_adjugate(self, rows, scalar):
+        a = QMat(rows)
+        inv = a.inverse()
+        assert inv.rows == adjugate_inverse(rows)
+        assert (a * inv).is_identity()
+        assert (inv * a).is_identity()
+        assert a.determinant() == fraction_determinant(rows)
+        for m in (a, inv, a * inv, inv * a, a * a, a * scalar, scalar * a, a - inv):
+            assert_exact_entries(m)
+
+    def test_integer_matrix_stays_integer(self):
+        a = QMat([[2, 1], [Fraction(5, 1), 3]])
+        inv = a.inverse()
+        assert inv == QMat([[3, -1], [-5, 2]])
+        assert all(type(e) is int for r in inv.rows for e in r)
+        assert type(a.determinant()) is int
+        assert type(QMat([[Fraction(1, 2), 0], [0, 4]]).determinant()) is int
+
+    def test_floats_refused(self):
+        with pytest.raises(TypeError):
+            QMat([[0.5]])
+        with pytest.raises(TypeError):
+            QMat.identity(2) * 0.5
+
     def test_inverse_roundtrip(self):
         a = QMat([[1, 2], [3, 5]])
         assert (a * a.inverse()).is_identity()

@@ -418,6 +418,7 @@ class TestMembership:
             presentations, "surface_presentation", lambda g: builds.append(g) or build(g)
         )
         monkeypatch.setattr(leray, "h1_dim", lambda p, chi: chars.append(chi) or h1(p, chi))
+        leray.factor_presentation.cache_clear()
         sigma = nontrivial(G2_AB, 3, a1=1)
         one = Character(G2_AB, 1)
         rho = CharacterTuple([one, sigma, one, one])
@@ -425,6 +426,10 @@ class TestMembership:
         assert m.components == ("pi_2",) and m.h1 == 2
         assert builds == [2]
         assert len(chars) == 2 and set(chars) == set(rho.components)
+        # a later call on the same space reuses the cached factor
+        h1_twisted_pure_braid(GENUS2, 4, rho)
+        assert factor_presentation(GENUS2).alphabet == G2_AB
+        assert builds == [2]
 
     @pytest.mark.parametrize("space", [GENUS1, GENUS2, CSTAR])
     @pytest.mark.parametrize("n", [2, 3])

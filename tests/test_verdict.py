@@ -542,22 +542,13 @@ class TestObstructionHelpers:
 
     def test_beauville_dimension_two(self):
         out = beauville_obstruction([2])
-        assert out.kind == "obstruction"
-        assert out.forced_genus is None
+        assert out == BeauvilleOutcome(
+            kind="obstruction", dimension=2, anchors=("beauville-untranslated",)
+        )
 
     def test_beauville_odd_dimension(self):
         out = beauville_obstruction([3])
         assert out.kind == "obstruction"
-
-    def test_beauville_forced_fibration(self):
-        out = beauville_obstruction([4])
-        assert out == BeauvilleOutcome(
-            kind="forced-fibration",
-            dimension=4,
-            forced_genus=2,
-            anchors=("beauville-fibration",),
-        )
-        assert beauville_obstruction([6]).forced_genus == 3
 
     def test_beauville_obstruction_beats_fibration(self):
         out = beauville_obstruction([4, 3])
@@ -567,14 +558,15 @@ class TestObstructionHelpers:
     def test_beauville_ignores_points(self):
         assert beauville_obstruction([]) is None
         assert beauville_obstruction([0]) is None
-        assert beauville_obstruction([0, 4]).forced_genus == 2
+        assert beauville_obstruction([0, 4]) is None
+        assert beauville_obstruction([0, 4, 6]) is None
+        assert beauville_obstruction([0, 2]).dimension == 2
 
     def test_beauville_on_computed_locus_dimensions(self):
         locus = sigma1_components(SpaceSpec.parse("genus:1"), 3)
         out = beauville_obstruction([c.dimension for c in locus.components])
         assert out.kind == "obstruction"
         assert out.dimension == 2
-        assert out.forced_genus is None
 
 
 class TestWreath:
