@@ -41,7 +41,6 @@ from .presentations import (
     SpaceSpec,
     catalog,
     parse_presentation,
-    surface_presentation,
 )
 from .verdict import charp_verdict, kahler_verdict
 from .verify import DEFAULT_SEED, run_criteria
@@ -256,9 +255,14 @@ def _cmd_charvar(args) -> int:
 def _cmd_tangent(args) -> int:
     if not 0 <= args.seed < 2**64:
         raise InputError("seed must fit in 64 bits")
+    if args.spread < 1:
+        raise InputError("--spread must be a positive integer, got %d" % args.spread)
+    # the catalog bounds the genus before anything is sampled; below
+    # genus 1 the sampler reports the error
+    pres = catalog("surface:%d" % max(args.genus, 0))
     rng = seeded_rng(args.seed)
     rho = random_surface_sl2(args.genus, rng, spread=args.spread)
-    report = tangent_dim_at(surface_presentation(args.genus), rho)
+    report = tangent_dim_at(pres, rho)
     _emit(
         {
             "genus": args.genus,

@@ -4,9 +4,12 @@ Everything here runs off a presentation and a coefficient system (a
 one dimensional character with values zeta_N^e, or a rational matrix
 representation).  H^0 is the joint kernel of the generator actions
 minus the identity; H^1 comes from the kernel of the Fox Jacobian of
-the relators.  At a character the Jacobian has entries in Z[zeta_N],
-and its rank is taken over F_q wherever that rank is provably exact
-(see ``h1_dim``).  Degree one needs no asphericity hypothesis: crossed
+the relators.  Every rank goes through ``cyclotomic.certified_rank``:
+at a character the Jacobian has entries in Z[zeta_N], and at a rational
+representation each row is scaled to integers, a matrix over
+Z[zeta_1] = Z.  Its rank is taken over F_q wherever that rank is
+provably exact, and over enough residue maps otherwise (see
+``h1_dim``).  Degree one needs no asphericity hypothesis: crossed
 homomorphisms modulo principal ones are computed correctly from any
 presentation of the group.
 
@@ -18,10 +21,10 @@ the acceptance checks draw from.
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from .cyclotomic import certified_rank, matrix_rank
+from .cyclotomic import certified_rank
 from .errors import InputError, OutOfRangeError, PreconditionError
 from .exactlin import AbelianProfile, IntMatrix, QMat, cokernel_profile
 from .presentations import (
@@ -44,11 +47,13 @@ def abelianization(p: Presentation) -> AbelianProfile:
     """First homology of the presented group with integer coefficients.
 
     Generators index the rows of the relator exponent matrix, relators
-    the columns; the cokernel of that matrix is the abelianization.
+    the columns; the cokernel of that matrix is the abelianization.  The
+    matrix is filled in one pass over the letters.
     """
-    rows = [
-        [r.exponent_sum(i) for r in p.relators] for i in range(p.num_generators)
-    ]
+    rows = [[0] * p.num_relators for _ in range(p.num_generators)]
+    for j, r in enumerate(p.relators):
+        for g, s in r.letters:
+            rows[g][j] += s
     return cokernel_profile(IntMatrix(rows, ncols=p.num_relators))
 
 
@@ -119,17 +124,29 @@ class FoxJacobian:
         return (len(self.rows), self.ncols)
 
     def rank(self, upper: Optional[int] = None) -> int:
-        """Exact rank.  At a character it is taken over F_q (see
-        ``cyclotomic.certified_rank``); ``upper``, a proven upper bound,
-        lets the first residue map settle it."""
+        """Exact rank, taken over F_q by ``cyclotomic.certified_rank``:
+        at a character over Z[zeta_N], at a matrix representation over
+        Z = Z[zeta_1] once each row is scaled to integers.  ``upper``, a
+        proven upper bound, lets the first residue map settle it."""
         if not self.rows or not self.ncols:
             return 0
         if self.order is None:
-            return matrix_rank(self.rows, self.ncols, Fraction(1))
+            return _rational_rank(self.rows, self.ncols, upper)
         return certified_rank(self.rows, self.ncols, self.order, upper)[0]
 
     def nullity(self) -> int:
         return self.ncols - self.rank()
+
+
+def _rational_rank(rows, ncols: int, upper: Optional[int] = None) -> int:
+    """Rank over Q of a matrix of ints and Fractions.  Scaling a row by
+    the lcm of its denominators keeps the rank, and an integer c is the
+    element {0: c} of Z[zeta_1], so the certificate at order 1 applies."""
+    scaled = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([{0: x.numerator * (den // x.denominator)} if x else {} for x in row])
+    return certified_rank(scaled, ncols, 1, upper)[0]
 
 
 def _character_blocks(word, exps, order: int, k: int) -> list[dict]:
@@ -213,7 +230,7 @@ def _h0_unchecked(p: Presentation, phi, coeff: Optional[_Coefficients] = None) -
     for g in range(k):
         delta = coeff.letter(g, 1) - ident
         rows.extend(delta.rows)
-    return d - matrix_rank(rows, d, Fraction(1))
+    return d - _rational_rank(rows, d)
 
 
 def h0_dim(p: Presentation, phi) -> int:
@@ -234,7 +251,9 @@ def h1_dim(p: Presentation, phi) -> int:
     Its rank over F_q is a lower bound; where the two meet, as at every
     nontrivial surface character and at generic product characters, the
     F_q rank is exact.  Elsewhere the rank over Q(zeta_N) is read off
-    enough residue maps to F_q to be exact by a norm bound.
+    enough residue maps to F_q to be exact by a norm bound.  At a matrix
+    representation of dimension d the same argument runs at order 1,
+    with the bound k*d - (d - h0).
     """
     _validate(p, phi)
     jac = fox_jacobian(p, phi, validated=True)
@@ -418,7 +437,9 @@ def random_character_tuple(
 
 
 def _elementary(rng: random.Random, spread: int, lower: bool) -> QMat:
-    a = rng.choice([v for v in range(-spread, spread + 1) if v])
+    # a uniform nonzero value in [-spread, spread], without listing them
+    a = rng.randrange(-spread, spread)
+    a += a >= 0
     if lower:
         return QMat([[1, 0], [a, 1]])
     return QMat([[1, a], [0, 1]])

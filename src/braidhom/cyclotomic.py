@@ -12,8 +12,11 @@ without field arithmetic.  It maps zeta to a root of unity of the same
 order in F_q for a prime q = 1 (mod N): that rank is a lower bound on
 the true rank, and when it meets an upper bound the caller can prove,
 it is the rank.  Otherwise the largest rank over enough such maps is
-exact by a norm bound.  Elimination over Q(zeta_N) with ``rank_kernel``
-is the independent route that rank is tested against.
+exact by a norm bound.  At N = 1 the same certificate ranks integer
+matrices, so a rational matrix is ranked once its rows are scaled to
+integers.  Elimination over Q and Q(zeta_N) with ``rank_kernel`` is the
+independent route that rank is tested against, and the oracle of the
+tangent acceptance check.
 """
 
 from __future__ import annotations
@@ -375,10 +378,6 @@ def rank_kernel(rows: list[list], ncols: int, one):
             vec[pc] = zero - M[r][fc]
         basis.append(vec)
     return rank, len(free_cols), basis
-
-
-def matrix_rank(rows: list[list], ncols: int, one) -> int:
-    return rank_kernel(rows, ncols, one)[0]
 
 
 # ---------------------------------------------------------------------------

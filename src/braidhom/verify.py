@@ -11,6 +11,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 from typing import Callable, Iterable, Optional
@@ -30,6 +31,7 @@ from .cohomology import (
     surface_profile,
     tangent_dim_at,
 )
+from .cyclotomic import rank_kernel
 from .errors import InputError
 from .exactlin import IntMatrix, QMat, is_unimodular, smith_normal_form
 from .leray import b1_pure_braid, h1_twisted_pure_braid, sigma1_membership
@@ -412,8 +414,20 @@ def criterion_kunneth_cross(seed: int = DEFAULT_SEED) -> CriterionResult:
 # 8: character variety tangent dimensions
 
 
+def _tangent_by_elimination(pres: Presentation, rho: MatrixRep) -> tuple[int, int]:
+    """(z1, h0_ad) at ``rho`` by Gauss-Jordan over Q, independent of the
+    certified F_q rank that ``tangent_dim_at`` takes."""
+    ad = rho.adjoint_rep()
+    jac = fox_jacobian(pres, ad, validated=True)
+    z1 = jac.ncols - rank_kernel(jac.rows, jac.ncols, Fraction(1))[0]
+    ident = QMat.identity(ad.dim)
+    moves = [row for g in range(pres.num_generators) for row in (ad.image(g) - ident).rows]
+    return z1, ad.dim - rank_kernel(moves, ad.dim, Fraction(1))[0]
+
+
 def criterion_tangent(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Gated SL2 samples have h1 = 6; closed forms give 9, 6, 16, 10."""
+    """Gated SL2 samples have h1 = 6, with z1 and h0_ad equal to their
+    values by elimination over Q; closed forms give 9, 6, 16, 10."""
     rng = seeded_rng(seed + 8)
     pres = surface_presentation(2)
     failures = []
@@ -421,6 +435,9 @@ def criterion_tangent(seed: int = DEFAULT_SEED) -> CriterionResult:
     for i in range(100):
         rho = random_surface_sl2(2, rng)
         report = tangent_dim_at(pres, rho)
+        oracle = _tangent_by_elimination(pres, rho)
+        if oracle != (report.z1, report.h0_ad):
+            failures.append(("elimination", i, (report.z1, report.h0_ad), oracle))
         if report.h0_ad == 0:
             gated += 1
             if report.h1 != 6:

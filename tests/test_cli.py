@@ -384,6 +384,36 @@ class TestSizeLimit:
         assert "limited to genus 2000" in err
 
 
+class TestTangentInputs:
+    @pytest.mark.parametrize("spread", ["0", "-1", "-3"])
+    def test_nonpositive_spread_exits_2(self, spread, capsys):
+        code, out, err = run_cli(["tangent", "--spread", spread], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--spread" in err
+
+    @pytest.mark.parametrize("genus", ["2001", "5000", "1000000000"])
+    def test_genus_bounded_before_sampling(self, genus, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(["tangent", "--genus", genus], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "limited to genus 2000" in err
+
+    @pytest.mark.parametrize("genus", ["0", "-1"])
+    def test_genus_below_one_keeps_its_message(self, genus, capsys):
+        code, out, err = run_cli(["tangent", "--genus", genus], capsys)
+        assert (code, out, err) == (2, "", "error: need genus at least 1\n")
+
+    def test_large_spread_draws_without_listing(self, capsys):
+        # no list of 2 * spread candidates is built per draw
+        code, out, _ = run_cli(["tangent", "--genus", "2", "--spread", str(10**30)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["gate_passed"] and report["h1"] == 6
+
+
 class TestVerdictOutput:
     @pytest.mark.parametrize(
         "space, rank", [("higher-dim:4:finite", 0), ("higher-dim:4:other:3", 3 * 10**9)]

@@ -2,11 +2,13 @@
 character variety counts, tangent computations, and the samplers."""
 
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidhom import cohomology, cyclotomic
 from braidhom.cohomology import (
     CharVarDims,
     CohomologyProfile,
@@ -23,12 +25,13 @@ from braidhom.cohomology import (
     surface_profile,
     tangent_dim_at,
 )
-from braidhom.cyclotomic import CycContext, certified_rank, matrix_rank
+from braidhom.cyclotomic import CycContext, certified_rank, rank_kernel
 from braidhom.errors import InputError, OutOfRangeError, PreconditionError
-from braidhom.exactlin import QMat
+from braidhom.exactlin import IntMatrix, QMat, cokernel_profile
 from braidhom.presentations import (
     Character,
     MatrixRep,
+    Presentation,
     catalog,
     free_presentation,
     parse_presentation,
@@ -37,7 +40,7 @@ from braidhom.presentations import (
     surface_presentation,
     validate_character,
 )
-from braidhom.verify import _p2_torus_character
+from braidhom.verify import _p2_torus_character, _tangent_by_elimination
 from braidhom.words import free_reduce, generator_word
 
 CATALOG_IDS = [
@@ -64,7 +67,7 @@ def _exact_h1(p, chi):
     jac = fox_jacobian(p, chi)
     ctx = CycContext(chi.order)
     rows = [[ctx.from_powers(t) for t in r] for r in jac.rows]
-    rank = matrix_rank(rows, jac.ncols, ctx.one()) if rows else 0
+    rank = rank_kernel(rows, jac.ncols, ctx.one())[0] if rows else 0
     h0 = 1 if chi.is_trivial else 0
     return (jac.ncols - rank) - (1 - h0)
 
@@ -87,6 +90,18 @@ class TestAbelianization:
         profile = abelianization(p)
         assert profile.rank == 0
         assert profile.torsion == (6,) or profile.torsion == (2, 3)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_one_pass_matches_exponent_sums(self, k, data):
+        # the relator exponent matrix filled letter by letter equals the
+        # per-generator scan with Word.exponent_sum
+        letter = st.tuples(st.integers(0, k - 1), st.sampled_from((1, -1)))
+        words = [free_reduce(w) for w in data.draw(st.lists(st.lists(letter, max_size=10), max_size=5))]
+        p = Presentation(free_presentation(k).alphabet, [w for w in words if not w.is_identity])
+        rows = [[r.exponent_sum(i) for r in p.relators] for i in range(k)]
+        assert abelianization(p) == cokernel_profile(IntMatrix(rows, ncols=p.num_relators))
 
 
 class TestH0:
@@ -336,6 +351,100 @@ class TestTangent:
                 assert ad.image(j) * inv == one
             w = free_reduce([(rng.randrange(2 * g), rng.choice((1, -1))) for _ in range(8)])
             assert ad.word_value(w.inverse()) * ad.word_value(w) == one
+
+
+def _q_rank(rows, ncols):
+    return rank_kernel(rows, ncols, Fraction(1))[0] if rows else 0
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Integer or rational matrices up to 6 x 8; about half of them get
+    rows that are rational combinations of earlier ones."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        entry = st.integers(-40, 40)
+    else:
+        entry = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    planted = draw(st.integers(0, nrows - 1))
+    coef = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    for i in range(nrows - planted, nrows):
+        if i:
+            mix = [draw(coef) for _ in range(i)]
+            rows[i] = [sum(m * rows[j][c] for j, m in enumerate(mix)) for c in range(ncols)]
+    # keep integers as ints, as QMat does, so both entry types occur
+    rows = [[int(x) if Fraction(x).denominator == 1 else x for x in r] for r in rows]
+    return rows, ncols
+
+
+def _diagonal_rep(p, rng):
+    diag = [QMat([[Fraction(rng.choice((-3, -2, 2, 5)), rng.choice((1, 3, 4))), 0], [0, rng.choice((1, 7))]])
+            for _ in range(p.num_generators)]
+    return MatrixRep(p.alphabet, diag, flavor="GL")
+
+
+class TestRationalRank:
+    """The certified F_q rank at order 1 ranks every rational Jacobian;
+    Gauss-Jordan over Q is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_rational_matrices())
+    def test_matches_elimination(self, matrix):
+        rows, ncols = matrix
+        assert cohomology._rational_rank(rows, ncols) == _q_rank(rows, ncols)
+
+    def test_reducible_points_take_the_fallback(self, monkeypatch):
+        # at reducible points the rank stays below the side of the matrix,
+        # so the norm-bound fallback settles it
+        routes = []
+        certify = cyclotomic.certified_rank
+
+        def spy(rows, ncols, order, upper=None):
+            result = certify(rows, ncols, order, upper)
+            routes.append((order, result[1]))
+            return result
+
+        monkeypatch.setattr(cohomology, "certified_rank", spy)
+        rng = seeded_rng(41)
+        p1, p2 = surface_presentation(1), surface_presentation(2)
+        for _ in range(10):
+            rho = random_surface_sl2(1, rng)
+            report = tangent_dim_at(p1, rho)
+            assert report.h0_ad >= 1
+            assert (report.z1, report.h0_ad) == _tangent_by_elimination(p1, rho)
+        for p in (p1, p2):
+            for _ in range(5):
+                rho = _diagonal_rep(p, rng)
+                report = tangent_dim_at(p, rho)
+                assert (report.z1, report.h0_ad) == _tangent_by_elimination(p, rho)
+                # the GL point itself: Jacobian and invariants by elimination
+                jac = fox_jacobian(p, rho)
+                moves = [r for g in range(p.num_generators) for r in (rho.image(g) - QMat.identity(2)).rows]
+                h0 = 2 - _q_rank(moves, 2)
+                expected = (jac.ncols - _q_rank(jac.rows, jac.ncols)) - (2 - h0)
+                assert h1_dim(p, rho) == expected
+        assert (1, False) in routes
+        assert {order for order, _ in routes} == {1}
+
+    def test_matrix_reps_never_eliminate(self, monkeypatch):
+        calls = []
+        eliminate = cyclotomic.rank_kernel
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return eliminate(*args, **kwargs)
+
+        monkeypatch.setattr(cyclotomic, "rank_kernel", counted)
+        rng = seeded_rng(42)
+        for g in (1, 2, 3):
+            p = surface_presentation(g)
+            for _ in range(3):
+                rho = random_surface_sl2(g, rng)
+                tangent_dim_at(p, rho)
+                h1_dim(p, rho)
+                h1_dim(p, rho.adjoint_rep())
+        assert calls == []
 
 
 class TestSamplers:

@@ -39,7 +39,7 @@ from braidhom.presentations import (
     validate_character,
     validate_matrix_rep,
 )
-from braidhom.words import Word, free_reduce, generator_word
+from braidhom.words import Word, commutator, free_reduce, generator_word
 
 
 def abelianization_oracle(p: Presentation):
@@ -62,6 +62,15 @@ class TestCatalogSurfaces:
         assert p.alphabet.names == ("a1", "b1", "a2", "b2")
         assert len(p.relators) == 1
         assert len(p.relators[0]) == 8
+
+    def test_surface_relator_is_the_commutator_product(self):
+        # the relator is written down letter by letter; multiplying the
+        # handle commutators as words gives the same reduced word
+        for g in range(1, 41):
+            product = Word()
+            for i in range(g):
+                product = product * commutator(generator_word(2 * i), generator_word(2 * i + 1))
+            assert surface_presentation(g).relators == (product,)
 
     def test_surface_zero_warns(self):
         p = surface_presentation(0)

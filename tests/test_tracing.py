@@ -65,6 +65,7 @@ ARGVS = (
     ["abelianize", "--catalog", "surface:2"],
     ["e2", "--space", "genus:1", "--n", "3"],
     ["tangent", "--genus", "2", "--seed", "5"],
+    ["verify", "--criteria", "tangent-charvar"],
 )
 
 
