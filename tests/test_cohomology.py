@@ -91,7 +91,6 @@ class TestAbelianization:
         assert profile.rank == 0
         assert profile.torsion == (6,) or profile.torsion == (2, 3)
 
-
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5), st.data())
     def test_one_pass_matches_exponent_sums(self, k, data):
@@ -489,6 +488,15 @@ class TestSamplers:
         # construction already asserts the relator; determinism check
         again = random_surface_sl2(g, seeded_rng(g * 11))
         assert [m.rows for m in again.images] == [m.rows for m in rep.images]
+
+    @pytest.mark.parametrize("spread", [1, 2, 5])
+    def test_elementary_entries_cover_the_nonzero_range(self, spread):
+        rng = seeded_rng(spread)
+        seen = set()
+        for _ in range(400):
+            m = cohomology._elementary(rng, spread, lower=False)
+            seen.add(m.rows[0][1])
+        assert seen == set(range(-spread, spread + 1)) - {0}
 
     def test_surface_sampler_rejects_genus_zero(self):
         with pytest.raises(OutOfRangeError):
