@@ -252,11 +252,19 @@ def _cmd_charvar(args) -> int:
     return 0
 
 
+_MAX_SPREAD = 10**30
+
+
 def _cmd_tangent(args) -> int:
     if not 0 <= args.seed < 2**64:
         raise InputError("seed must fit in 64 bits")
     if args.spread < 1:
         raise InputError("--spread must be a positive integer, got %d" % args.spread)
+    # the certificate's norm-bound fallback grows with the entry size
+    if args.spread > _MAX_SPREAD:
+        raise InputError(
+            "--spread is limited to 10^30, got a %d-digit value" % len(str(args.spread))
+        )
     # the catalog bounds the genus before anything is sampled; below
     # genus 1 the sampler reports the error
     pres = catalog("surface:%d" % max(args.genus, 0))

@@ -1,58 +1,50 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N), and certified rank.
+"""Cyclotomic integers Z[zeta_N], and certified rank.
 
-Elements are polynomials in a primitive N-th root of unity with rational
-coefficients (int, or Fraction once a division has happened), reduced
-modulo the N-th cyclotomic polynomial.  A shared context object caches
-the minimal polynomial per N; mixing elements from different contexts
-raises.
+An element of Z[zeta_N] is a mapping from exponents e to integer
+coefficients c, standing for the sum of c * zeta^e; Fox Jacobians of
+characters are matrices of such mappings.
 
-``certified_rank`` computes the exact rank of a matrix over Z[zeta_N]
-whose entries are given as integer combinations of powers of zeta,
-without field arithmetic.  It maps zeta to a root of unity of the same
-order in F_q for a prime q = 1 (mod N): that rank is a lower bound on
-the true rank, and when it meets an upper bound the caller can prove,
-it is the rank.  Otherwise the largest rank over enough such maps is
-exact by a norm bound.  At N = 1 the same certificate ranks integer
+``certified_rank`` computes the exact rank over Q(zeta_N) of a matrix of
+such entries without field arithmetic.  It maps zeta to a root of unity
+of the same order in F_q for a prime q = 1 (mod N): that rank is a lower
+bound on the true rank, and when it meets an upper bound the caller can
+prove, it is the rank.  Otherwise the largest rank over enough such maps
+is exact by a norm bound.  At N = 1 the same certificate ranks integer
 matrices, so a rational matrix is ranked once its rows are scaled to
-integers.  Elimination over Q and Q(zeta_N) with ``rank_kernel`` is the
-independent route that rank is tested against, and the oracle of the
-tangent acceptance check.
+integers.
+
+The independent route that rank is tested against is exact integer
+elimination: ``CycContext.matrix`` writes an element as the integer
+matrix of multiplication by it on the power basis (its regular
+representation), and ``CycContext.rank`` takes the Smith form of the
+block matrix.  ``rank_kernel`` eliminates over any exact field; over Q
+it is the oracle of the tangent acceptance check.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Sequence
 
-from .errors import ArithmeticContextError
+from .exactlin import IntMatrix, column_divisors
 
 
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (coefficient lists, low degree first).
 
 
-def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_div_exact_int(num: list[int], den: list[int]) -> list[int]:
+def _poly_div_exact_int(num: list[int], den: tuple[int, ...]) -> list[int]:
     """Exact division of integer polynomials; den must be monic."""
     num = num[:]
     dd = len(den) - 1
+    terms = [(j, x) for j, x in enumerate(den) if x]
     out = [0] * (len(num) - dd)
     for k in range(len(num) - 1, dd - 1, -1):
         c = num[k]
         out[k - dd] = c
         if c:
-            for j in range(dd + 1):
-                num[k - dd + j] -= c * den[j]
+            for j, x in terms:
+                num[k - dd + j] -= c * x
     if any(num):
         raise ArithmeticError("division not exact")
     return out
@@ -63,32 +55,26 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, low degree first."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    den = [1]
+    # x^n - 1 is the product of Phi_d over the divisors d of n
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul_int(den, list(cyclotomic_polynomial(d)))
-    return tuple(_poly_div_exact_int(num, den))
-
-
-def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+            num = _poly_div_exact_int(num, cyclotomic_polynomial(d))
+    return tuple(num)
 
 
 # ---------------------------------------------------------------------------
-# The field.
+# The regular representation.
 
 
 class CycContext:
-    """Arithmetic context for Q(zeta_N).
+    """The ring Z[zeta_N] on the power basis 1, zeta, ..., zeta^(phi(N)-1).
 
     Holds the minimal polynomial and, built lazily one power at a time,
-    the integer coordinates of the powers zeta^k with k >= degree that
-    have been asked for.  Products are reduced by division by the monic
-    minimal polynomial, so no table of powers is needed for them.
+    the integer coordinates of the powers zeta^k that have been asked
+    for.  An element acts on the basis by multiplication, which gives its
+    integer matrix; ranks over Q(zeta_N) are read off those matrices.
+    One context is shared per order.
     """
 
     _cache: dict[int, "CycContext"] = {}
@@ -112,17 +98,6 @@ class CycContext:
         self._tail = tuple((i, c) for i, c in enumerate(self.minpoly[:-1]) if c)
         self._powers: dict[int, tuple[int, ...]] = {}
 
-    def zero(self) -> "CycElt":
-        return CycElt(self, (0,) * self.degree)
-
-    def one(self) -> "CycElt":
-        return self.from_rational(1)
-
-    def from_rational(self, q) -> "CycElt":
-        coeffs: list = [0] * self.degree
-        coeffs[0] = q if isinstance(q, int) else Fraction(q)
-        return CycElt(self, tuple(coeffs))
-
     def power(self, k: int) -> tuple[int, ...]:
         """Integer coordinates of zeta^k, computed on first use."""
         k %= self.order
@@ -133,19 +108,52 @@ class CycContext:
             row = self._powers[k] = _reduce(self, coeffs)
         return row
 
-    def zeta(self, k: int = 1) -> "CycElt":
-        """zeta_N^k as a field element."""
-        return CycElt(self, self.power(k))
+    def matrix(self, terms) -> IntMatrix:
+        """The degree x degree integer matrix of multiplication by the sum
+        of c * zeta^e over a mapping from exponents e to coefficients c.
 
-    def from_powers(self, terms) -> "CycElt":
-        """The element sum of c * zeta^e over the (e, c) pairs of a
-        mapping from exponents to integer coefficients."""
-        acc = [0] * self.degree
+        Column k holds the coordinates of that sum times zeta^k: each
+        column is the one before it multiplied by zeta, a shift reduced
+        by the monic minimal polynomial.
+        """
+        d = self.degree
+        col = [0] * d
         for e, c in terms.items():
             for i, x in enumerate(self.power(e)):
                 if x:
-                    acc[i] += c * x
-        return CycElt(self, tuple(acc))
+                    col[i] += c * x
+        cols = [col]
+        for _ in range(1, d):
+            top = col[-1]
+            col = [0] + col[:-1]
+            if top:
+                for i, m in self._tail:
+                    col[i] -= top * m
+            cols.append(col)
+        return IntMatrix(zip(*cols), ncols=d)
+
+    def rank(self, rows: list[list], ncols: int) -> int:
+        """Exact rank over Q(zeta_N) of a matrix whose entries are
+        mappings from exponents to integer coefficients.
+
+        Every entry becomes its integer matrix, and the rank over Q of
+        the block matrix is degree times the rank over Q(zeta_N), since
+        Q(zeta_N) has dimension degree over Q.
+        """
+        d = self.degree
+        columns: list[dict[int, int]] = [{} for _ in range(ncols * d)]
+        for i, row in enumerate(rows):
+            if len(row) != ncols:
+                raise ValueError("row width disagrees with ncols")
+            for j, entry in enumerate(row):
+                if not entry:
+                    continue
+                block = self.matrix(entry).rows
+                for r in range(d):
+                    for k, x in enumerate(block[r]):
+                        if x:
+                            columns[j * d + k][i * d + r] = x
+        return len(column_divisors(columns)) // d
 
     def __repr__(self):
         return "CycContext(order=%d, degree=%d)" % (self.order, self.degree)
@@ -166,172 +174,6 @@ def _reduce(ctx: CycContext, coeffs: list) -> tuple:
             for i, m in tail:
                 out[base + i] -= c * m
     return tuple(out[:d])
-
-
-class CycElt:
-    """An element of Q(zeta_N), immutable."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: CycContext, coeffs: Sequence[int | Fraction]):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != ctx.degree:
-            raise ValueError("coefficient vector has wrong length")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CycElt is immutable")
-
-    def _check(self, other: "CycElt"):
-        if self.ctx is not other.ctx:
-            raise ArithmeticContextError(
-                "mixed cyclotomic orders %d and %d"
-                % (self.ctx.order, other.ctx.order)
-            )
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CycElt):
-            return self.ctx is other.ctx and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == self.ctx.from_rational(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.coeffs))
-
-    def __repr__(self):
-        return "CycElt(N=%d, %s)" % (self.ctx.order, list(self.coeffs))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        return CycElt(self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycElt(self.ctx, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def _coerce(self, other):
-        if isinstance(other, CycElt):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.from_rational(other)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycElt(self.ctx, tuple(a * other for a in self.coeffs))
-        if not isinstance(other, CycElt):
-            return NotImplemented
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        conv = [0] * (2 * self.ctx.degree - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        return CycElt(self.ctx, _reduce(self.ctx, conv))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "CycElt":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against the (irreducible) minimal polynomial."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        # Work over Q[x]: r0 = minpoly, r1 = self; track s only.
-        r0 = [Fraction(c) for c in self.ctx.minpoly]
-        r1 = [Fraction(c) for c in self.coeffs]
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                return CycElt(self.ctx, _reduce(self.ctx, [c * inv for c in s1]))
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul_frac(q, s1))
-            while r1 and not r1[-1]:
-                r1.pop()
-            if not r1:
-                raise ArithmeticError("minimal polynomial not coprime")
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        coerced = self._coerce(other)
-        if coerced is NotImplemented:
-            return NotImplemented
-        return coerced * self.inverse()
-
-    def __pow__(self, k: int) -> "CycElt":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.ctx.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dd:
-        return [Fraction(0)], num
-    q = [Fraction(0)] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k] / lead
-        q[k - dd] = c
-        if c:
-            for j in range(dd + 1):
-                num[k - dd + j] -= c * den[j]
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return q, num
-
-
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +273,15 @@ def _factorize(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def euler_phi(n: int) -> int:
+    """phi(n), from the distinct primes dividing n."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    for p in _factorize(n):
+        n -= n // p
+    return n
 
 
 def order_n_root(q: int, n: int) -> int:

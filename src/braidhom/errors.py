@@ -9,10 +9,6 @@ class AlphabetMismatchError(BraidhomError):
     """A letter references a generator outside the active alphabet."""
 
 
-class ArithmeticContextError(BraidhomError):
-    """Elements of different cyclotomic contexts were mixed in one computation."""
-
-
 class PresentationParseError(BraidhomError):
     """Malformed presentation text.  Carries the one-based line number."""
 

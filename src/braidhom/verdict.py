@@ -35,7 +35,7 @@ from .anchors import anchor_text
 from .cohomology import abelianization
 from .cyclotomic import is_prime
 from .errors import InputError, OutOfScopeError
-from .exactlin import AbelianProfile
+from .exactlin import AbelianProfile, column_divisors
 from .leray import b1_pure_braid, pullback_vanishing, sigma1_components
 from .presentations import SpaceSpec, catalog
 
@@ -565,12 +565,19 @@ def wreath_facts(space: SpaceSpec, n: int) -> WreathReport:
     base = _base_profile(space)
     pure = base.n_fold(n)
     # the symmetric group permutes the n summands of the pure profile;
-    # its coinvariants are one copy of the base profile
+    # its coinvariants are one copy of the base profile, and since the
+    # wreath product splits over the symmetric group, the abelianized
+    # symmetric group (Z/2 from two strands on) is a further summand,
+    # merged into the divisor chain by the Smith form of the diagonal
     full = base
+    if n >= 2:
+        divisors = column_divisors([{i: d} for i, d in enumerate(base.torsion + (2,))])
+        full = AbelianProfile(base.rank, tuple(d for d in divisors if d > 1))
     anchors = ["wreath-pure-iso", "wreath-full-iso", "coinvariants"]
     notes = [
-        "the full braid group value is the coinvariant profile; whether "
-        "an extra summand can occur beyond it is not decided here",
+        "the full braid group value is the coinvariant profile plus the "
+        "abelianized symmetric group, Z/2 from two strands on, as the "
+        "wreath product is a split extension by the symmetric group",
     ]
     projective: Optional[bool]
     if space.base_kind in ("trivial", "finite"):

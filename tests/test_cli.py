@@ -406,6 +406,15 @@ class TestTangentInputs:
         code, out, err = run_cli(["tangent", "--genus", genus], capsys)
         assert (code, out, err) == (2, "", "error: need genus at least 1\n")
 
+    @pytest.mark.parametrize("spread", [str(10**30 + 1), "9" * 4000])
+    def test_spread_bounded_before_sampling(self, spread, capsys):
+        for genus in ("1", "2000"):
+            start = time.perf_counter()
+            code, out, err = run_cli(["tangent", "--genus", genus, "--spread", spread], capsys)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (2, "")
+            assert err.startswith("error: --spread") and "10^30" in err
+
     def test_large_spread_draws_without_listing(self, capsys):
         # no list of 2 * spread candidates is built per draw
         code, out, _ = run_cli(["tangent", "--genus", "2", "--spread", str(10**30)], capsys)
@@ -544,7 +553,7 @@ GOLDEN = [
     ("verdict --space sphere --n 3",
      "376186916952bb104d00ebe2f5e1506eb4bcaeb8ff58592c043196752d66265c"),
     ("verdict --space higher-dim:4:projective:2 --n 3 --flavor full",
-     "9feed25992f4861b2bfad9f8d1224946e622b67914224c4faeb172c743549c81"),
+     "3d083d13d352fe5d382c8beca8f1ea2e6677ce303a9fcdbac99766d535375549"),
     ("charp --group artin_pure:4 --p 3",
      "3dade29e6a379600ef5f698906137c34914dec4955c0e5a609a1da48c2326ead"),
     ("charp --group sphere_pure:4 --p 5",

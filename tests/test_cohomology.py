@@ -63,11 +63,9 @@ P2_TORUS = os.path.join(os.path.dirname(__file__), "..", "data", "p2_torus.pres"
 
 def _exact_h1(p, chi):
     """h1 from the rank of the Fox Jacobian over Q(zeta_N) by exact
-    elimination, with no F_q step."""
+    integer elimination on the regular representation, with no F_q step."""
     jac = fox_jacobian(p, chi)
-    ctx = CycContext(chi.order)
-    rows = [[ctx.from_powers(t) for t in r] for r in jac.rows]
-    rank = rank_kernel(rows, jac.ncols, ctx.one())[0] if rows else 0
+    rank = CycContext(chi.order).rank(jac.rows, jac.ncols)
     h0 = 1 if chi.is_trivial else 0
     return (jac.ncols - rank) - (1 - h0)
 
@@ -582,7 +580,8 @@ class TestCertifiedRoute:
         assert routes[True] and routes[False]
 
     def test_exponent_check_names_the_failing_relator(self):
-        # exponent sums against the value of each relator in Q(zeta_N)
+        # exponent sums against the value of each relator as a product of
+        # the integer matrices of zeta^(+-e) in the regular representation
         p = parse_presentation("gens: a b\nrel: a b a^-1 b^-1\nrel: a a a\nrel: b b")
         rng = seeded_rng(440)
         rejected = 0
@@ -590,15 +589,15 @@ class TestCertifiedRoute:
             n = rng.randint(1, 12)
             chi = Character(p.alphabet, n, [rng.randrange(n), rng.randrange(n)])
             ctx = CycContext(n)
+            eye = IntMatrix.identity(ctx.degree)
 
             def value(word):
-                v = ctx.one()
+                v = eye
                 for g, sign in word.letters:
-                    z = ctx.zeta(chi.exponents[g])
-                    v = v * (z if sign == 1 else z.inverse())
+                    v = v @ ctx.matrix({sign * chi.exponents[g] % n: 1})
                 return v
 
-            first_bad = next((r for r in p.relators if value(r) != ctx.one()), None)
+            first_bad = next((r for r in p.relators if value(r) != eye), None)
             check = validate_character(p, chi)
             assert bool(check) == (first_bad is None)
             assert check.failing_relator == first_bad
@@ -641,3 +640,24 @@ class TestDenseExponents:
             # closed-form factor profiles: trivial (1, 4), nontrivial (0, 2)
             prof = [(1, 4) if c.is_trivial else (0, 2) for c in (a, b)]
             assert h1_dim(p, product_character(p, a, b)) == kunneth_h1(prof)
+
+    def test_fallback_builds_no_cyclotomic_polynomial(self, monkeypatch):
+        # a product with one trivial factor takes the norm-bound fallback,
+        # which needs only phi(N); at N = 3960 it is read off the primes
+        calls = []
+        build = cyclotomic.cyclotomic_polynomial
+
+        def counted(n):
+            calls.append(n)
+            return build(n)
+
+        monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", counted)
+        p = catalog("product(surface:2,surface:2)")
+        f = surface_presentation(2).alphabet
+        rng = seeded_rng(520)
+        n = 3960
+        a = Character(f, n, [0] * len(f.names))
+        b = Character(f, n, [rng.randrange(n) for _ in f.names])
+        assert not b.is_trivial
+        assert h1_dim(p, product_character(p, a, b)) == kunneth_h1([(1, 4), (0, 2)])
+        assert calls == []

@@ -1,13 +1,13 @@
-"""Tests for exact cyclotomic field arithmetic and generic rank."""
+"""Tests for cyclotomic integers, their regular representation, and rank."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidhom import cyclotomic
 from braidhom.cyclotomic import (
     CycContext,
-    CycElt,
     certified_rank,
     cyclotomic_polynomial,
     euler_phi,
@@ -17,7 +17,7 @@ from braidhom.cyclotomic import (
     rank_kernel,
     splitting_root,
 )
-from braidhom.errors import ArithmeticContextError
+from braidhom.exactlin import IntMatrix, bareiss_determinant
 
 
 class TestCyclotomicPolynomial:
@@ -37,106 +37,155 @@ class TestCyclotomicPolynomial:
         for n, phi in known.items():
             assert euler_phi(n) == phi
 
+    def test_totient_from_factors_matches_polynomial_degree(self):
+        for n in range(1, 1001):
+            assert euler_phi(n) == len(cyclotomic_polynomial(n)) - 1, n
+
     def test_product_over_divisors(self):
         # prod_{d | n} Phi_d = x^n - 1, checked by multiplying back.
-        from braidhom.cyclotomic import _poly_mul_int
+        def mul(a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
 
         for n in (6, 8, 12):
             prod = [1]
             for d in range(1, n + 1):
                 if n % d == 0:
-                    prod = _poly_mul_int(prod, list(cyclotomic_polynomial(d)))
+                    prod = mul(prod, cyclotomic_polynomial(d))
             expect = [0] * (n + 1)
             expect[0], expect[n] = -1, 1
             assert prod == expect
 
 
+def _matrix_sum(mats):
+    rows = [[sum(col) for col in zip(*rs)] for rs in zip(*(m.rows for m in mats))]
+    return IntMatrix(rows, ncols=mats[0].ncols)
+
+
+def _scale(m, c):
+    return IntMatrix([[c * x for x in r] for r in m.rows], ncols=m.ncols)
+
+
 class TestFieldArithmetic:
+    """Q(zeta_N) through the regular representation: the integer matrix
+    ``CycContext.matrix`` of an element, M = matrix({1: 1}) for zeta."""
+
     def test_zeta_has_exact_order(self):
         for n in (1, 2, 3, 4, 5, 6, 12):
             ctx = CycContext(n)
-            z = ctx.zeta()
-            acc = ctx.one()
+            m = ctx.matrix({1: 1})
+            eye = IntMatrix.identity(ctx.degree)
+            acc = eye
             for k in range(1, n):
-                acc = acc * z
-                assert acc != ctx.one(), (n, k)
-            assert z**n == ctx.one()
+                acc = acc @ m
+                assert acc != eye, (n, k)
+            assert acc @ m == eye
 
     def test_geometric_sum_vanishes(self):
         for n in (2, 3, 5, 12):
             ctx = CycContext(n)
-            total = ctx.zero()
-            for k in range(n):
-                total = total + ctx.zeta(k)
-            assert not total
+            m = ctx.matrix({1: 1})
+            powers = [IntMatrix.identity(ctx.degree)]
+            for _ in range(1, n):
+                powers.append(powers[-1] @ m)
+            assert _matrix_sum(powers) == IntMatrix.zeros(ctx.degree, ctx.degree)
+            assert ctx.matrix({k: 1 for k in range(n)}) == IntMatrix.zeros(ctx.degree, ctx.degree)
 
     def test_context_is_shared(self):
         assert CycContext(5) is CycContext(5)
-
-    def test_mixed_contexts_rejected(self):
-        a = CycContext(3).zeta()
-        b = CycContext(4).zeta()
-        with pytest.raises(ArithmeticContextError):
-            a + b
-        with pytest.raises(ArithmeticContextError):
-            a * b
+        # zeta's matrix is a root of the shared minimal polynomial
+        for n in (1, 4, 5, 9, 12):
+            ctx = CycContext(n)
+            m = ctx.matrix({1: 1})
+            acc = IntMatrix.identity(ctx.degree)
+            terms = []
+            for c in ctx.minpoly:
+                terms.append(_scale(acc, c))
+                acc = acc @ m
+            assert _matrix_sum(terms) == IntMatrix.zeros(ctx.degree, ctx.degree), n
 
     def test_rational_embedding(self):
+        # an integer c is the scalar matrix c * I; zeta is not a scalar
         ctx = CycContext(8)
-        x = ctx.from_rational(Fraction(3, 7))
-        assert x.coeffs == (Fraction(3, 7), 0, 0, 0)
-        assert x == Fraction(3, 7)
-        assert x + 1 == Fraction(10, 7)
-        assert ctx.zeta() + Fraction(3, 7) != Fraction(3, 7)
-
-    def test_inverse_roundtrip_frozen(self):
-        ctx = CycContext(5)
-        a = ctx.one() + ctx.zeta()
-        assert a * a.inverse() == ctx.one()
-        assert a / a == ctx.one()
+        assert ctx.matrix({0: 3}) == _scale(IntMatrix.identity(4), 3)
+        assert ctx.matrix({0: 3, 1: 1}) != _scale(IntMatrix.identity(4), 3)
 
     def test_zero_inverse_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            CycContext(3).zero().inverse()
+        # zero acts as the zero matrix, of rank 0, so it has no inverse
+        ctx = CycContext(3)
+        assert ctx.matrix({}) == ctx.matrix({0: 0, 1: 0}) == IntMatrix.zeros(2, 2)
+        assert bareiss_determinant(ctx.matrix({})) == 0
+        assert ctx.rank([[{}]], 1) == 0
+
+    def test_inverse_roundtrip_frozen(self):
+        # 1 + zeta_5 is a unit of Z[zeta_5] (its norm Phi_5(-1) is 1), and
+        # zeta^-1 = zeta^4 inverts zeta
+        ctx = CycContext(5)
+        assert bareiss_determinant(ctx.matrix({0: 1, 1: 1})) == 1
+        assert ctx.matrix({1: 1}) @ ctx.matrix({4: 1}) == IntMatrix.identity(4)
 
     def test_negative_power(self):
         ctx = CycContext(7)
-        z = ctx.zeta()
-        assert z**-1 == ctx.zeta(6)
-        assert z**-3 * z**3 == ctx.one()
+        assert ctx.matrix({-1: 1}) == ctx.matrix({6: 1})
+        assert ctx.matrix({-3: 1}) @ ctx.matrix({3: 1}) == IntMatrix.identity(6)
+
+
+def _terms(n):
+    return st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3), max_size=4)
+
+
+def _mul_terms(a, b, n):
+    out = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            out[(e + f) % n] = out.get((e + f) % n, 0) + c * d
+    return out
+
+
+def _add_terms(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+class TestFieldAxioms:
+    """The regular representation is a ring map from Z[zeta_N] into
+    integer matrices, and a nonzero element acts with full rank."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_terms(12), _terms(12), _terms(12))
+    def test_distributive_and_associative(self, a, b, c):
+        ctx = CycContext(12)
+        ma, mb, mc = ctx.matrix(a), ctx.matrix(b), ctx.matrix(c)
+        assert ctx.matrix(_add_terms(a, b)) == _matrix_sum([ma, mb])
+        assert ctx.matrix(_mul_terms(a, b, 12)) == ma @ mb
+        assert (ma @ mb) @ mc == ma @ (mb @ mc)
+        assert _matrix_sum([ma, mb]) @ mc == _matrix_sum([ma @ mc, mb @ mc])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_terms(12))
+    def test_inverse_when_nonzero(self, a):
+        ctx = CycContext(12)
+        m = ctx.matrix(a)
+        # the first column is the element's coordinate vector
+        nonzero = any(r[0] for r in m.rows)
+        assert (bareiss_determinant(m) != 0) == nonzero
+        assert ctx.rank([[a]], 1) == (1 if nonzero else 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_terms(9), _terms(9))
+    def test_commutative(self, a, b):
+        ctx = CycContext(9)
+        assert ctx.matrix(a) @ ctx.matrix(b) == ctx.matrix(b) @ ctx.matrix(a)
 
 
 small_fracs = st.fractions(
     min_value=-3, max_value=3, max_denominator=4
 )
-
-
-def cyc_elements(n):
-    ctx = CycContext(n)
-    return st.lists(
-        small_fracs, min_size=ctx.degree, max_size=ctx.degree
-    ).map(lambda cs: CycElt(ctx, tuple(cs)))
-
-
-class TestFieldAxioms:
-    @settings(max_examples=60, deadline=None)
-    @given(cyc_elements(12), cyc_elements(12), cyc_elements(12))
-    def test_distributive_and_associative(self, a, b, c):
-        assert (a + b) * c == a * c + b * c
-        assert (a * b) * c == a * (b * c)
-        assert (a + b) + c == a + (b + c)
-
-    @settings(max_examples=60, deadline=None)
-    @given(cyc_elements(12))
-    def test_inverse_when_nonzero(self, a):
-        if a:
-            assert a * a.inverse() == CycContext(12).one()
-
-    @settings(max_examples=40, deadline=None)
-    @given(cyc_elements(9), cyc_elements(9))
-    def test_commutative(self, a, b):
-        assert a * b == b * a
-        assert a + b == b + a
 
 
 class TestRankKernel:
@@ -159,22 +208,24 @@ class TestRankKernel:
         assert len(basis) == 3
 
     def test_cyclotomic_rank_drop(self):
+        # [[1, zeta], [zeta^-1, 1]] over Q(zeta_5): the second row is
+        # zeta^-1 times the first
         ctx = CycContext(5)
-        z = ctx.zeta()
-        rows = [[ctx.one(), z], [z.inverse(), ctx.one()]]
-        assert rank_kernel(rows, 2, ctx.one())[0] == 1
+        assert ctx.rank([[{0: 1}, {1: 1}], [{4: 1}, {0: 1}]], 2) == 1
+        assert ctx.rank([[{0: 1}, {1: 1}], [{4: 1}, {0: 2}]], 2) == 2
 
     def test_cyclotomic_kernel_annihilates(self):
+        # the row (1 - zeta, zeta^2, 1) over Q(zeta_8) has rank 1; the
+        # two independent vectors (1, 0, zeta - 1) and (0, 1, -zeta^2)
+        # annihilate it, so its nullity is 2
         ctx = CycContext(8)
-        z = ctx.zeta()
-        rows = [[ctx.one() - z, z * z, ctx.one()]]
-        rank, nullity, basis = rank_kernel(rows, 3, ctx.one())
-        assert rank == 1 and nullity == 2
-        for v in basis:
-            total = ctx.zero()
-            for a, b in zip(rows[0], v):
-                total = total + a * b
-            assert not total
+        row = [{0: 1, 1: -1}, {2: 1}, {0: 1}]
+        kernel = [[{0: 1}, {}, {1: 1, 0: -1}], [{}, {0: 1}, {2: -1}]]
+        assert ctx.rank([row], 3) == 1
+        assert ctx.rank(kernel, 3) == 2
+        zero = IntMatrix.zeros(ctx.degree, ctx.degree)
+        for v in kernel:
+            assert _matrix_sum([ctx.matrix(a) @ ctx.matrix(b) for a, b in zip(row, v)]) == zero
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -231,39 +282,22 @@ class TestModularPath:
 
     def test_certified_rank_agrees_with_exact(self):
         import random
-        from math import lcm
 
         rng = random.Random(11)
         ctx = CycContext(6)
         for _ in range(20):
             m = rng.randint(1, 4)
             n = rng.randint(1, 4)
+            # entries on the power basis 1, zeta of Q(zeta_6)
             rows = [
                 [
-                    CycElt(
-                        ctx,
-                        tuple(
-                            Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                            for _ in range(ctx.degree)
-                        ),
-                    )
+                    {i: c for i in range(ctx.degree) if (c := rng.randint(-3, 3))}
                     for _ in range(n)
                 ]
                 for _ in range(m)
             ]
-            exact = rank_kernel(rows, n, ctx.one())[0]
-            # clear each row's denominators: the same rank over Z[zeta]
-            int_rows = []
-            for r in rows:
-                den = lcm(*(c.denominator for e in r for c in e.coeffs))
-                int_rows.append(
-                    [
-                        {i: int(c * den) for i, c in enumerate(e.coeffs) if c}
-                        for e in r
-                    ]
-                )
-            fast, _ = certified_rank(int_rows, n, 6)
-            assert fast == exact
+            fast, _ = certified_rank(rows, n, 6)
+            assert fast == ctx.rank(rows, n)
         q = find_splitting_prime(6)
         assert q % 6 == 1
 
@@ -283,27 +317,42 @@ class TestModularPath:
         rng = random.Random(n)
         ctx = CycContext(n)
         for _ in range(12):
-            ncols = rng.randint(1, 5)
-            base = [
-                [
-                    {rng.randrange(n): rng.randint(-2, 2) for _ in range(rng.randint(0, 3))}
-                    for _ in range(ncols)
-                ]
-                for _ in range(rng.randint(1, 3))
-            ]
-            rows = [list(r) for r in base]
-            # dependent rows: sums of zeta-shifted copies of the base rows
-            for _ in range(rng.randint(0, 3)):
-                a, b = rng.choice(base), rng.choice(base)
-                s = rng.randrange(n)
-                row = []
-                for x, y in zip(a, b):
-                    t = dict(x)
-                    for e, c in y.items():
-                        t[(e + s) % n] = t.get((e + s) % n, 0) + c
-                    row.append({e: c for e, c in t.items() if c})
-                rows.append(row)
-            rng.shuffle(rows)
-            field = [[ctx.from_powers(t) for t in r] for r in rows]
-            exact = rank_kernel(field, ncols, ctx.one())[0]
-            assert certified_rank(rows, ncols, n)[0] == exact
+            rows, ncols = _planted(rng, n)
+            assert certified_rank(rows, ncols, n)[0] == ctx.rank(rows, ncols)
+
+    def test_certified_rank_sweep_every_order(self):
+        # every order up to 30, against exact integer elimination
+        import random
+
+        rng = random.Random(30)
+        for n in range(1, 31):
+            ctx = CycContext(n)
+            for _ in range(10):
+                rows, ncols = _planted(rng, n)
+                assert certified_rank(rows, ncols, n)[0] == ctx.rank(rows, ncols), (n, rows)
+
+
+def _planted(rng, n):
+    """A seeded matrix over Z[zeta_n] with a planted rank deficiency:
+    one to three base rows, then sums of zeta-shifted copies of them."""
+    ncols = rng.randint(1, 5)
+    base = [
+        [
+            {rng.randrange(n): rng.randint(-2, 2) for _ in range(rng.randint(0, 3))}
+            for _ in range(ncols)
+        ]
+        for _ in range(rng.randint(1, 3))
+    ]
+    rows = [list(r) for r in base]
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(base), rng.choice(base)
+        s = rng.randrange(n)
+        row = []
+        for x, y in zip(a, b):
+            t = dict(x)
+            for e, c in y.items():
+                t[(e + s) % n] = t.get((e + s) % n, 0) + c
+            row.append({e: c for e, c in t.items() if c})
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows, ncols

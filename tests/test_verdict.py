@@ -12,7 +12,8 @@ import pytest
 from braidhom.errors import InputError, OutOfRangeError, OutOfScopeError
 from braidhom.exactlin import AbelianProfile
 from braidhom.leray import b1_pure_braid, sigma1_components
-from braidhom.presentations import SpaceSpec
+from braidhom.cohomology import abelianization
+from braidhom.presentations import SpaceSpec, parse_presentation
 from braidhom.verdict import (
     EXCLUDED,
     KAHLER,
@@ -574,14 +575,16 @@ class TestWreath:
         space = SpaceSpec.parse("higher-dim:4:projective:4")
         facts = wreath_facts(space, 2)
         assert facts.pure_h1 == AbelianProfile(8)
-        assert facts.full_h1 == AbelianProfile(4)
+        # the coinvariants Z^4 plus the abelianized S_2
+        assert facts.full_h1 == AbelianProfile(4, (2,))
         assert facts.projective is True
         assert "wreath-projective" in facts.anchors
 
     def test_trivial_base(self):
         facts = wreath_facts(SpaceSpec.parse("higher-dim:3"), 4)
         assert facts.pure_h1 == AbelianProfile(0)
-        assert facts.full_h1 == AbelianProfile(0)
+        # H_1(S_4) = Z/2
+        assert facts.full_h1 == AbelianProfile(0, (2,))
         assert facts.projective is True
         assert "finite-projective" in facts.anchors
 
@@ -601,7 +604,7 @@ class TestWreath:
         )
         facts = wreath_facts(space, 3)
         assert facts.pure_h1 == AbelianProfile(0, (2, 2, 2))
-        assert facts.full_h1 == AbelianProfile(0, (2,))
+        assert facts.full_h1 == AbelianProfile(0, (2, 2))
         assert facts.projective is True
 
     def test_inconsistent_base_profiles_rejected(self):
@@ -619,12 +622,59 @@ class TestWreath:
             wreath_facts(SpaceSpec.parse("genus:2"), 2)
 
     def test_coinvariants_identity_and_validation(self):
-        # the full braid group profile is one copy of the base profile
+        # the full braid group profile is one copy of the base profile,
+        # plus the abelianized symmetric group from two strands on
         space = SpaceSpec("higher-dim", real_dim=4, base_kind="other", base_b1=1, base_torsion=(2,))
-        for n in (1, 5):
-            assert wreath_facts(space, n).full_h1 == AbelianProfile(1, (2,))
+        assert wreath_facts(space, 1).full_h1 == AbelianProfile(1, (2,))
+        assert wreath_facts(space, 5).full_h1 == AbelianProfile(1, (2, 2))
         with pytest.raises(InputError):
             wreath_facts(space, 0)
+
+    @pytest.mark.parametrize(
+        "b1, torsion", [(0, ()), (2, ()), (0, (2,)), (0, (3,)), (1, (2, 4))]
+    )
+    def test_full_profile_matches_wreath_presentation(self, b1, torsion):
+        # Smith form of the abelianized presentation of G wr S_n, for a
+        # model group G = Z^b1 x prod Z/d with the given profile
+        kind = "other" if b1 else "finite"
+        space = SpaceSpec("higher-dim", real_dim=4, base_kind=kind, base_b1=b1, base_torsion=torsion)
+        for n in range(1, 7):
+            expected = abelianization(_wreath_presentation(b1, torsion, n))
+            assert wreath_facts(space, n).full_h1 == expected, n
+        if torsion == (3,):
+            assert expected == AbelianProfile(0, (6,))
+
+
+def _wreath_presentation(b1, torsion, n):
+    """G wr S_n for G = Z^b1 x prod_k Z/torsion[k]: n commuting copies of
+    G, Coxeter generators s_i of S_n, and s_i x^(j) s_i^-1 = x^(tau_i j)."""
+    model = ["x%d" % k for k in range(b1)] + ["y%d" % k for k in range(len(torsion))]
+    gens = ["%s_%d" % (g, j) for j in range(n) for g in model]
+    swaps = ["s%d" % i for i in range(1, n)]
+    rels = []
+    for j in range(n):
+        for k, d in enumerate(torsion):
+            rels.append(" ".join(["y%d_%d" % (k, j)] * d))
+    for a, u in enumerate(gens):
+        for v in gens[a + 1 :]:
+            rels.append("%s %s %s^-1 %s^-1" % (u, v, u, v))
+    for i, s in enumerate(swaps, start=1):
+        rels.append("%s %s" % (s, s))
+        for t, r in enumerate(swaps[i:], start=i + 1):
+            if t == i + 1:
+                rels.append(" ".join([s, r] * 3))
+            else:
+                rels.append("%s %s %s^-1 %s^-1" % (s, r, s, r))
+        # s_i swaps copies i - 1 and i
+        for j in range(n):
+            image = {i - 1: i, i: i - 1}.get(j, j)
+            for g in model:
+                rels.append("%s %s_%d %s^-1 %s_%d^-1" % (s, g, j, s, g, image))
+    if not gens + swaps:
+        # the trivial group on one strand
+        gens, rels = ["e"], ["e"]
+    text = "gens: %s\n" % " ".join(gens + swaps)
+    return parse_presentation(text + "".join("rel: %s\n" % r for r in rels))
 
 
 class TestCharp:
