@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .cyclotomic import certified_rank
 from .errors import InputError, OutOfRangeError, PreconditionError
-from .exactlin import AbelianProfile, IntMatrix, QMat, cokernel_profile
+from .exactlin import AbelianProfile, IntMatrix, QMat, cokernel_profile, _exact_rows, _times
 from .presentations import (
     AdjointRep,
     Character,
@@ -37,7 +37,6 @@ from .presentations import (
     validate_character,
     validate_matrix_rep,
 )
-from .words import generator_word
 
 
 # ---------------------------------------------------------------------------
@@ -62,21 +61,30 @@ def abelianization(p: Presentation) -> AbelianProfile:
 #
 # A coefficient system is either a Character (one dimensional, values
 # zeta_N^e, handled through integer exponents) or a MatrixRep /
-# AdjointRep (rational matrices).  For the matrix case the images of
-# single generators with both signs are assembled once here and shared
-# by the Fox Jacobian and H^0.
+# AdjointRep (rational matrices).
 
 class _Coefficients:
-    __slots__ = ("dim", "_plus", "_minus")
+    """The images of the generators of a matrix coefficient system and
+    of their inverses, assembled once and shared by the Fox Jacobian and
+    H^0.  The inverse images come from ``phi.inverse_image``: the cached
+    inverse of a MatrixRep image, the closed-form adjoint of an
+    AdjointRep one; no word is evaluated.  Each image is also kept as
+    its columns, ready for :func:`exactlin._times`."""
+
+    __slots__ = ("dim", "images", "_columns")
 
     def __init__(self, phi):
         self.dim = phi.dim
         k = len(phi.alphabet)
-        self._plus = [phi.image(g) for g in range(k)]
-        self._minus = [phi.word_value(generator_word(g, -1)) for g in range(k)]
+        self.images = [phi.image(g) for g in range(k)]
+        inverses = [phi.inverse_image(g) for g in range(k)]
+        self._columns = {
+            1: [list(zip(*m.rows)) for m in self.images],
+            -1: [list(zip(*m.rows)) for m in inverses],
+        }
 
-    def letter(self, g: int, s: int):
-        return self._plus[g] if s == 1 else self._minus[g]
+    def columns(self, g: int, s: int) -> list:
+        return self._columns[s][g]
 
 
 def _validate(p: Presentation, phi) -> None:
@@ -170,20 +178,19 @@ def _character_blocks(word, exps, order: int, k: int) -> list[dict]:
     return [{x: c for x, c in d.items() if c} for d in deriv]
 
 
-def _fox_blocks(word, coeff: _Coefficients, k: int):
+def _fox_blocks(word, coeff: _Coefficients, k: int) -> list[list[list]]:
     """Evaluated Fox derivatives of ``word`` by all k generators at a
-    matrix representation; the same prefix scan on matrices."""
-    one = QMat.identity(coeff.dim)
-    zero = QMat.zeros(coeff.dim)
-    deriv = [zero] * k
-    prefix = one
+    matrix representation; the same prefix scan on plain row lists."""
+    d = coeff.dim
+    prefix = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    deriv = [[[0] * d for _ in range(d)]] * k
     for g, s in word.letters:
         if s == 1:
-            deriv[g] = deriv[g] + prefix
-            prefix = prefix * coeff.letter(g, 1)
+            deriv[g] = [[a + b for a, b in zip(r, p)] for r, p in zip(deriv[g], prefix)]
+            prefix = _times(prefix, coeff.columns(g, 1))
         else:
-            prefix = prefix * coeff.letter(g, -1)
-            deriv[g] = deriv[g] - prefix
+            prefix = _times(prefix, coeff.columns(g, -1))
+            deriv[g] = [[a - b for a, b in zip(r, p)] for r, p in zip(deriv[g], prefix)]
     return deriv
 
 
@@ -208,8 +215,9 @@ def fox_jacobian(p: Presentation, phi, validated: bool = False) -> FoxJacobian:
         for i in range(d):
             row = []
             for b in blocks:
-                row.extend(b.rows[i])
+                row.extend(b[i])
             rows.append(row)
+    rows = _exact_rows(rows)
     return FoxJacobian(rows, k * d, p.num_relators, k, d, coeff=coeff)
 
 
@@ -226,10 +234,11 @@ def _h0_unchecked(p: Presentation, phi, coeff: Optional[_Coefficients] = None) -
     if k == 0:
         return d
     rows = []
-    ident = QMat.identity(d)
-    for g in range(k):
-        delta = coeff.letter(g, 1) - ident
-        rows.extend(delta.rows)
+    for m in coeff.images:
+        for i, r in enumerate(m.rows):
+            delta = list(r)
+            delta[i] -= 1
+            rows.append(delta)
     return d - _rational_rank(rows, d)
 
 

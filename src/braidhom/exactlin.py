@@ -448,6 +448,22 @@ def _ratio(a: int, b: int) -> int | Fraction:
     return Fraction(a, b) if r else q
 
 
+def _exact_rows(rows: Iterable[Iterable[int | Fraction]]) -> list[list[int | Fraction]]:
+    """Rows whose entries are sums and products of exact entries, with
+    every Fraction of denominator 1 turned back into an int; there is
+    no float to refuse, since exact operands give exact results."""
+    return [
+        [e if type(e) is int else (e.numerator if e.denominator == 1 else e) for e in r]
+        for r in rows
+    ]
+
+
+def _times(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:
+    """The product of a matrix given by its rows and one given by its
+    columns, as plain row lists."""
+    return [[sum(map(mul, r, c)) for c in cols] for r in rows]
+
+
 class QMat:
     """Dense square matrix over Q used for representation images.
 
@@ -466,12 +482,21 @@ class QMat:
             raise ValueError("QMat must be square")
 
     @classmethod
+    def from_exact(cls, rows: Iterable[Iterable[int | Fraction]]) -> "QMat":
+        """Wrap the square result of exact arithmetic through
+        :func:`_exact_rows`, without the constructor's float check."""
+        m = object.__new__(cls)
+        m.rows = _exact_rows(rows)
+        m.n = len(m.rows)
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "QMat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_exact([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, n: int) -> "QMat":
-        return cls([[0] * n for _ in range(n)])
+        return cls.from_exact([[0] * n for _ in range(n)])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QMat) and self.rows == other.rows
@@ -480,21 +505,20 @@ class QMat:
         return "QMat(%r)" % (self.rows,)
 
     def __add__(self, other: "QMat") -> "QMat":
-        return QMat(
+        return QMat.from_exact(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
 
     def __sub__(self, other: "QMat") -> "QMat":
-        return QMat(
+        return QMat.from_exact(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
 
     def __mul__(self, other):
         if isinstance(other, QMat):
-            cols = list(zip(*other.rows))
-            return QMat([[sum(map(mul, r, c)) for c in cols] for r in self.rows])
+            return QMat.from_exact(_times(self.rows, list(zip(*other.rows))))
         if isinstance(other, (int, Fraction)):
-            return QMat([[e * other for e in r] for r in self.rows])
+            return QMat.from_exact([[e * other for e in r] for r in self.rows])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -534,7 +558,7 @@ class QMat:
                     f = M[i][k]
                     M[i] = [(p * a - f * c) // prev for a, c in zip(M[i], Mk)]
             prev = p
-        return QMat([[_ratio(d * e, prev) for e in r[n:]] for r in M])
+        return QMat.from_exact([[_ratio(d * e, prev) for e in r[n:]] for r in M])
 
     def is_identity(self) -> bool:
         return self == QMat.identity(self.n)

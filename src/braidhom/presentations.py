@@ -31,7 +31,7 @@ from .errors import (
     OutOfRangeError,
     PresentationParseError,
 )
-from .exactlin import QMat
+from .exactlin import QMat, _times
 from .words import Alphabet, Word, commutator, generator_word
 
 __all__ = [
@@ -319,7 +319,7 @@ def product_presentation(*factors: Presentation) -> Presentation:
 # before anything is built: the artin_pure:n derivation grows steeply with
 # n (about a second at n=12, four at n=15), free:k takes memory linear in k,
 # surface:g gives every command 2g generators to work on (its relator is
-# built in linear time; `tangent --genus 2000` takes about 1.4 s), and a
+# built in linear time; `tangent --genus 2000` takes about 0.6 s), and a
 # product has one cross commutator per pair of generators from different
 # factors.
 _CATALOG_MAX_STRANDS = 12
@@ -725,7 +725,7 @@ class MatrixRep:
 
     ``flavor`` is "SL" (unit determinant enforced per generator) or "GL"
     (any nonzero determinant).  Word evaluation multiplies images left to
-    right; inverses are cached.
+    right on plain row lists; inverses are cached.
     """
 
     __slots__ = ("alphabet", "images", "flavor", "dim", "_inverses")
@@ -770,16 +770,19 @@ class MatrixRep:
         i = gen if isinstance(gen, int) else self.alphabet.index_of(gen)
         return self.images[i]
 
-    def _inverse(self, i: int) -> QMat:
+    def inverse_image(self, gen: int | str) -> QMat:
+        """The image of the inverse generator, computed once."""
+        i = gen if isinstance(gen, int) else self.alphabet.index_of(gen)
         if i not in self._inverses:
             self._inverses[i] = self.images[i].inverse()
         return self._inverses[i]
 
     def word_value(self, w: Word) -> QMat:
-        out = QMat.identity(self.dim)
+        out = QMat.identity(self.dim).rows
         for g, s in w.letters:
-            out = out * (self.images[g] if s == 1 else self._inverse(g))
-        return out
+            m = self.images[g] if s == 1 else self.inverse_image(g)
+            out = _times(out, list(zip(*m.rows)))
+        return QMat.from_exact(out)
 
     def adjoint_rep(self) -> "AdjointRep":
         return AdjointRep(self)
@@ -792,39 +795,44 @@ class MatrixRep:
         )
 
 
-def _traceless_basis(d: int) -> list[QMat]:
-    """Basis of trace zero d x d matrices: diagonal differences then E_ij."""
-    basis = []
-    for i in range(d - 1):
-        rows = [[0] * d for _ in range(d)]
-        rows[i][i] = 1
-        rows[i + 1][i + 1] = -1
-        basis.append(QMat(rows))
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                rows = [[0] * d for _ in range(d)]
-                rows[i][j] = 1
-                basis.append(QMat(rows))
-    return basis
+def _adjoint(a: QMat, ainv: QMat) -> QMat:
+    """Ad(a) on trace zero d x d matrices, in closed form.
 
+    The basis is H_1 .. H_(d-1), H_i = E_ii - E_(i+1)(i+1), then E_ij
+    for i != j in row-major order; the coordinates of a trace zero
+    matrix are the partial sums of its diagonal, then its off-diagonal
+    entries in that order.  The (k, l) entry of a E_ij a^-1 is
+    a_ki (a^-1)_jl, so each column is read off the entries of a and
+    ``ainv`` with no d x d product.  A column whose trace does not
+    vanish means ``ainv`` is not the inverse of ``a``.
+    """
+    d = a.n
+    A, B = a.rows, ainv.rows
+    off = [(k, l) for k in range(d) for l in range(d) if k != l]
 
-def _traceless_coords(m: QMat) -> list[int | Fraction]:
-    """Coordinates in the `_traceless_basis` order; trace must vanish."""
-    d = m.n
-    diag = [m.rows[i][i] for i in range(d)]
-    if sum(diag) != 0:
-        raise ValueError("matrix has nonzero trace")
-    coords = []
-    acc = 0
-    for i in range(d - 1):
-        acc += diag[i]
-        coords.append(acc)
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                coords.append(m.rows[i][j])
-    return coords
+    def conjugate(i: int, j: int) -> tuple[list, int | Fraction]:
+        # coordinates of a E_ij a^-1 and its trace
+        Bj = B[j]
+        coords = []
+        acc = 0
+        for t in range(d - 1):
+            acc += A[t][i] * Bj[t]
+            coords.append(acc)
+        coords.extend(A[k][i] * Bj[l] for k, l in off)
+        return coords, acc + A[d - 1][i] * Bj[d - 1]
+
+    diagonal = [conjugate(i, i) for i in range(d)]
+    cols = []
+    for (c1, t1), (c2, t2) in zip(diagonal, diagonal[1:]):
+        if t1 != t2:
+            raise ValueError("matrix has nonzero trace")
+        cols.append([x - y for x, y in zip(c1, c2)])
+    for i, j in off:
+        col, trace = conjugate(i, j)
+        if trace:
+            raise ValueError("matrix has nonzero trace")
+        cols.append(col)
+    return QMat.from_exact(zip(*cols))
 
 
 class AdjointRep:
@@ -832,32 +840,31 @@ class AdjointRep:
 
     For a d dimensional representation this is a (d^2 - 1) dimensional
     rational representation; its cohomology computes tangent spaces of
-    character varieties at the underlying point.
+    character varieties at the underlying point.  The images of a
+    generator and of its inverse are read off the entries of the
+    underlying image and its cached inverse (see :func:`_adjoint`); no
+    word is evaluated for either.
     """
 
-    __slots__ = ("rep", "dim", "_basis")
+    __slots__ = ("rep", "dim")
 
     def __init__(self, rep: MatrixRep):
         self.rep = rep
         self.dim = rep.dim * rep.dim - 1
-        self._basis = _traceless_basis(rep.dim)
 
     @property
     def alphabet(self) -> Alphabet:
         return self.rep.alphabet
 
-    def _ad(self, a: QMat, ainv: QMat) -> QMat:
-        cols = [_traceless_coords(a * b * ainv) for b in self._basis]
-        rows = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        return QMat(rows)
-
     def word_value(self, w: Word) -> QMat:
         rep = self.rep
-        return self._ad(rep.word_value(w), rep.word_value(w.inverse()))
+        return _adjoint(rep.word_value(w), rep.word_value(w.inverse()))
 
     def image(self, gen: int | str) -> QMat:
-        i = gen if isinstance(gen, int) else self.alphabet.index_of(gen)
-        return self._ad(self.rep.images[i], self.rep._inverse(i))
+        return _adjoint(self.rep.image(gen), self.rep.inverse_image(gen))
+
+    def inverse_image(self, gen: int | str) -> QMat:
+        return _adjoint(self.rep.inverse_image(gen), self.rep.image(gen))
 
 
 def validate_matrix_rep(p: Presentation, rep) -> CharacterCheck:

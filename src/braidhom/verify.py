@@ -414,10 +414,58 @@ def criterion_kunneth_cross(seed: int = DEFAULT_SEED) -> CriterionResult:
 # 8: character variety tangent dimensions
 
 
+def _traceless_basis(d: int) -> list[QMat]:
+    """Basis of trace zero d x d matrices: diagonal differences then E_ij."""
+    basis = []
+    for i in range(d - 1):
+        rows = [[0] * d for _ in range(d)]
+        rows[i][i] = 1
+        rows[i + 1][i + 1] = -1
+        basis.append(QMat(rows))
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                rows = [[0] * d for _ in range(d)]
+                rows[i][j] = 1
+                basis.append(QMat(rows))
+    return basis
+
+
+def _traceless_coords(m: QMat) -> list[int | Fraction]:
+    """Coordinates in the `_traceless_basis` order; trace must vanish."""
+    d = m.n
+    diag = [m.rows[i][i] for i in range(d)]
+    if sum(diag) != 0:
+        raise ValueError("matrix has nonzero trace")
+    coords = []
+    acc = 0
+    for i in range(d - 1):
+        acc += diag[i]
+        coords.append(acc)
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                coords.append(m.rows[i][j])
+    return coords
+
+
+def _adjoint_by_conjugation(a: QMat, ainv: QMat) -> QMat:
+    """Ad(a) by conjugating each `_traceless_basis` element, the oracle
+    for the closed form that `AdjointRep` reads off the entries."""
+    cols = [_traceless_coords(a * b * ainv) for b in _traceless_basis(a.n)]
+    return QMat(zip(*cols))
+
+
 def _tangent_by_elimination(pres: Presentation, rho: MatrixRep) -> tuple[int, int]:
     """(z1, h0_ad) at ``rho`` by Gauss-Jordan over Q, independent of the
-    certified F_q rank that ``tangent_dim_at`` takes."""
-    ad = rho.adjoint_rep()
+    certified F_q rank that ``tangent_dim_at`` takes, on adjoint images
+    built by explicit conjugation as a plain GL representation."""
+    k = len(rho.alphabet)
+    ad = MatrixRep(
+        rho.alphabet,
+        [_adjoint_by_conjugation(rho.image(g), rho.inverse_image(g)) for g in range(k)],
+        flavor="GL",
+    )
     jac = fox_jacobian(pres, ad, validated=True)
     z1 = jac.ncols - rank_kernel(jac.rows, jac.ncols, Fraction(1))[0]
     ident = QMat.identity(ad.dim)

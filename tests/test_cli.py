@@ -581,6 +581,25 @@ def test_golden_stdout(argv, digest, tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# one sha256 over the concatenated stdout of `tangent` at genus 1..5,
+# spreads 1, 3, 40 and 10^30 and seeds 0..9 (in that nesting order),
+# recorded from the code that built the adjoint images by conjugating a
+# basis of trace zero matrices; genus 1 takes the reducible fallback
+TANGENT_SWEEP = "60d3c82c1656469c6f4eb83d7fae61255ef1fc2057b30909fbc221e1774f6133"
+
+
+def test_tangent_sweep_digest(capsys):
+    digest = hashlib.sha256()
+    for genus in range(1, 6):
+        for spread in (1, 3, 40, 10**30):
+            for seed in range(10):
+                argv = ["tangent", "--genus", str(genus), "--spread", str(spread), "--seed", str(seed)]
+                code, out, _ = run_cli(argv, capsys)
+                assert code == 0
+                digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == TANGENT_SWEEP
+
+
 # ---------------------------------------------------------------------------
 # one parser per process
 

@@ -21,6 +21,7 @@ from braidhom.cohomology import (
     random_character,
     random_character_tuple,
     random_surface_sl2,
+    TangentReport,
     seeded_rng,
     surface_profile,
     tangent_dim_at,
@@ -29,6 +30,7 @@ from braidhom.cyclotomic import CycContext, certified_rank, rank_kernel
 from braidhom.errors import InputError, OutOfRangeError, PreconditionError
 from braidhom.exactlin import IntMatrix, QMat, cokernel_profile
 from braidhom.presentations import (
+    AdjointRep,
     Character,
     MatrixRep,
     Presentation,
@@ -333,6 +335,39 @@ class TestTangent:
                 assert report.h1 == 6
                 hits += 1
         assert hits >= 19
+
+    def test_gl1_point_has_zero_tangent(self):
+        # d = 1: the trace zero matrices, and so Ad rho, are zero dimensional
+        p = surface_presentation(2)
+        images = [QMat([[2]]), QMat([[Fraction(1, 3)]]), QMat([[-1]]), QMat([[5]])]
+        rho = MatrixRep(p.alphabet, images, flavor="GL")
+        assert tangent_dim_at(p, rho) == TangentReport(0, 0, 0)
+        assert h1_dim(p, rho.adjoint_rep()) == 0
+
+    def test_adjoint_images_take_no_products(self, monkeypatch):
+        # the images of Ad rho and of their inverses are read off the
+        # entries of rho's images and cached inverses: no d x d product
+        # and no evaluation of a one-letter word
+        p = surface_presentation(3)
+        rho = random_surface_sl2(3, seeded_rng(31))
+        products, lengths = [], []
+        mul = QMat.__mul__
+
+        def counted_mul(self, other):
+            products.append(self.n)
+            return mul(self, other)
+
+        monkeypatch.setattr(QMat, "__mul__", counted_mul)
+        for cls in (MatrixRep, AdjointRep):
+            def counted_value(self, w, value=cls.word_value):
+                lengths.append(len(w.letters))
+                return value(self, w)
+
+            monkeypatch.setattr(cls, "word_value", counted_value)
+        report = tangent_dim_at(p, rho)
+        assert h1_dim(p, rho.adjoint_rep()) == report.h1
+        assert products == []
+        assert lengths and 1 not in lengths
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_adjoint_inverse_images(self, g):

@@ -396,6 +396,35 @@ class TestQMat:
         for m in (a, inv, a * inv, inv * a, a * a, a * scalar, scalar * a, a - inv):
             assert_exact_entries(m)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.tuples(
+                *[st.lists(st.lists(SMALL_INTS, min_size=n, max_size=n), min_size=n, max_size=n)] * 3
+            )
+        ),
+        st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(lambda q: q.denominator > 1),
+    )
+    def test_integral_results_are_ints(self, mats, q):
+        # Fraction operands whose sum, difference or product is integral
+        x, y, f = mats
+        fq = [[e * q for e in r] for r in f]
+        a = QMat([[u + v for u, v in zip(r, s)] for r, s in zip(x, fq)])
+        b = QMat([[u - v for u, v in zip(r, s)] for r, s in zip(y, fq)])
+        xq = QMat([[e * q for e in r] for r in x])
+        yq = QMat([[e / q for e in r] for r in y])
+        results = {
+            "sum": (a + b, [[u + v for u, v in zip(r, s)] for r, s in zip(x, y)]),
+            "difference": (a - QMat(fq), x),
+            "product": (xq * yq, IntMatrix(x) @ IntMatrix(y)),
+            "scalar": (xq * (1 / q), x),
+            "left scalar": ((1 / q) * xq, x),
+        }
+        for name, (got, want) in results.items():
+            want = want.rows if isinstance(want, IntMatrix) else want
+            assert got.rows == want, name
+            assert all(type(e) is int for r in got.rows for e in r), name
+
     def test_integer_matrix_stays_integer(self):
         a = QMat([[2, 1], [Fraction(5, 1), 3]])
         inv = a.inverse()

@@ -25,8 +25,6 @@ from braidhom.presentations import (
     SpaceSpec,
     _acts_trivially,
     _pair_list,
-    _traceless_basis,
-    _traceless_coords,
     artin_pure_presentation,
     artin_pure_relators,
     catalog,
@@ -39,6 +37,7 @@ from braidhom.presentations import (
     validate_character,
     validate_matrix_rep,
 )
+from braidhom.verify import _adjoint_by_conjugation, _traceless_basis, _traceless_coords
 from braidhom.words import Word, commutator, free_reduce, generator_word
 
 
@@ -547,6 +546,16 @@ class TestCharacterTuple:
             product_character(p, Character(p.alphabet, 2))
 
 
+def _invertible(d):
+    """Invertible d x d rational matrices, int and Fraction entries mixed."""
+    entry = st.one_of(
+        st.integers(min_value=-6, max_value=6),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    )
+    rows = st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+    return rows.map(QMat).filter(lambda m: m.determinant() != 0)
+
+
 class TestMatrixRep:
     def unipotents(self):
         a = QMat([[1, 1], [0, 1]])
@@ -597,6 +606,25 @@ class TestMatrixRep:
         wb = p.alphabet.parse_word("b")
         wab = p.alphabet.parse_word("a b")
         assert ad.word_value(wab) == ad.word_value(wa) * ad.word_value(wb)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(_invertible))
+    def test_closed_form_adjoint_matches_conjugation(self, a):
+        p = free_presentation(1)
+        ad = MatrixRep(p.alphabet, [a], flavor="GL").adjoint_rep()
+        image, inverse = ad.image(0), ad.inverse_image(0)
+        assert image == _adjoint_by_conjugation(a, a.inverse())
+        assert inverse == _adjoint_by_conjugation(a.inverse(), a)
+        one = QMat.identity(ad.dim)
+        assert image * inverse == one
+        assert inverse * image == one
+        for m in (image, inverse):
+            assert all(type(e) is int or e.denominator > 1 for r in m.rows for e in r)
+
+    def test_wrong_inverse_has_nonzero_trace(self):
+        a, _ = self.unipotents()
+        with pytest.raises(ValueError, match="nonzero trace"):
+            presentations._adjoint(a, a)
 
     def test_traceless_coords_round_trip(self):
         for d in (2, 3):
