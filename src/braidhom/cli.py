@@ -269,7 +269,7 @@ def _cmd_tangent(args) -> int:
     # genus 1 the sampler reports the error
     pres = catalog("surface:%d" % max(args.genus, 0))
     rng = seeded_rng(args.seed)
-    rho = random_surface_sl2(args.genus, rng, spread=args.spread)
+    rho = random_surface_sl2(args.genus, rng, spread=args.spread, presentation=pres)
     report = tangent_dim_at(pres, rho)
     _emit(
         {

@@ -466,9 +466,17 @@ def _random_sl2(rng: random.Random, spread: int) -> QMat:
     return m
 
 
-def random_surface_sl2(g: int, rng: random.Random, spread: int = 3) -> MatrixRep:
+def random_surface_sl2(
+    g: int,
+    rng: random.Random,
+    spread: int = 3,
+    presentation: Optional[Presentation] = None,
+) -> MatrixRep:
     """Random integer SL2 representation of the closed genus g surface
-    group, exact by construction.
+    group, exact by construction.  ``presentation`` is the genus g
+    surface presentation if the caller already holds one; the images are
+    checked against its relator, and the presentation is built here only
+    when none is given.
 
     Handles are filled in pairs: a pair (X, Y) of products of
     elementary matrices on one handle, and its conjugate mirror
@@ -492,7 +500,7 @@ def random_surface_sl2(g: int, rng: random.Random, spread: int = 3) -> MatrixRep
     if g % 2:
         w = _random_sl2(rng, spread)
         images.extend([w, w * w])
-    p = surface_presentation(g)
+    p = surface_presentation(g) if presentation is None else presentation
     rep = MatrixRep(p.alphabet, images, flavor="SL")
     assert validate_matrix_rep(p, rep), "sampler emitted a non-representation"
     return rep

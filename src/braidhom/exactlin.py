@@ -1,18 +1,18 @@
 """Exact integer and rational linear algebra.
 
 Dense arbitrary precision matrices, Smith normal form with full unimodular
-transforms, elementary divisors through sparse unit-pivot elimination in
-front of the same dense engine, fraction free determinants, and a small
-rational matrix type used for group representations, whose entries are
-ints wherever the denominator is 1 and Fractions only elsewhere; its
-inverse and determinant clear denominators and run fraction free on
-integers.  Everything here is pure Python on int and Fraction; no
-floating point is involved anywhere.
+transforms, elementary divisors through sparse unit-pivot elimination
+in front of the same dense engine (rows come off a bucket queue, fewest
+entries first), fraction free determinants, and a small rational matrix
+type used for group representations, whose entries are ints wherever
+the denominator is 1 and Fractions only elsewhere; its inverse and
+determinant clear denominators and run fraction free on integers.
+Everything here is pure Python on int and Fraction; no floating point is
+involved anywhere.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
@@ -269,59 +269,83 @@ def _eliminate_units(cols, row_index) -> int:
     """Eliminate +-1 pivots in place and return how many were taken.
 
     A unit pivot splits off a divisor 1 and leaves the Schur complement,
-    which is again integral, with the remaining divisors.  Among the unit
-    entries the one of least Markowitz cost (row count - 1) * (column
-    count - 1) goes first, which bounds the fill-in (Dumas, Saunders and
-    Villard, "On efficient sparse integer matrix Smith normal form
-    computations", 2001).  Costs in the heap may be stale; an entry whose
-    cost has grown is pushed back with its current cost.
+    which is again integral, with the remaining divisors.  Rows wait in a
+    bucket queue filed by entry count and are taken fewest entries first;
+    the pivot is a unit entry of the row in its shortest column, so the
+    fill-in, at most (row count - 1) * (column count - 1), stays small (a
+    Markowitz order; Dumas, Saunders and Villard, "On efficient sparse
+    integer matrix Smith normal form computations", 2001).  A unit alone
+    in its row is a pivot that changes no other column.  A row taken with
+    a stale count is filed again at its current count, and so is every
+    row that fill-in touches, so units that appear only after elimination
+    are still found; a row without a unit sits idle until such a touch.
     """
+    top = max(map(len, row_index.values()), default=0)
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
+    for i, js in row_index.items():
+        buckets[len(js)].append(i)
+    low = 1
+    idle: set[int] = set()
 
-    def cost(i, j):
-        return (len(row_index[i]) - 1) * (len(cols[j]) - 1)
+    def file(k):
+        nonlocal low
+        c = len(row_index[k])
+        if c:
+            while len(buckets) <= c:
+                buckets.append([])
+            buckets[c].append(k)
+            if c < low:
+                low = c
 
-    heap = [
-        (cost(i, j), j, i)
-        for j, col in cols.items()
-        for i, v in col.items()
-        if v == 1 or v == -1
-    ]
-    heapq.heapify(heap)
     units = 0
-    while heap:
-        c, j, i = heapq.heappop(heap)
-        col = cols.get(j)
-        p = col.get(i) if col is not None else None
-        if p != 1 and p != -1:
+    while True:
+        while low < len(buckets) and not buckets[low]:
+            low += 1
+        if low == len(buckets):
+            return units
+        i = buckets[low].pop()
+        js = row_index.get(i)
+        if not js or i in idle:
             continue
-        now = cost(i, j)
-        if now > c:
-            heapq.heappush(heap, (now, j, i))
+        if len(js) != low:
+            file(i)
+            continue
+        col = None
+        for jj in js:
+            cand = cols[jj]
+            v = cand[i]
+            if (v == 1 or v == -1) and (col is None or len(cand) < len(col)):
+                col, j = cand, jj
+        if col is None:
+            idle.add(i)
             continue
         units += 1
+        p = col.pop(i)
         del cols[j]
         for k in col:
             row_index[k].discard(j)
-        del col[i]
-        for jj in row_index.pop(i):
+        del row_index[i]
+        js.discard(j)
+        for jj in js:
             target = cols[jj]
             f = target.pop(i) * p
             for k, v in col.items():
-                w = target.get(k, 0) - v * f
-                if w:
-                    if k not in target:
-                        row_index[k].add(jj)
-                    target[k] = w
-                elif k in target:
+                v *= f
+                t = target.get(k)
+                if t is None:
+                    target[k] = -v
+                    row_index[k].add(jj)
+                elif t != v:
+                    target[k] = t - v
+                else:
                     del target[k]
                     row_index[k].discard(jj)
             if not target:
                 del cols[jj]
-                continue
-            for k, v in target.items():
-                if v == 1 or v == -1:
-                    heapq.heappush(heap, (cost(k, jj), jj, k))
-    return units
+        if js:
+            for k in col:
+                idle.discard(k)
+                file(k)
 
 
 def column_divisors(columns: Sequence[dict[int, int]]) -> tuple[int, ...]:

@@ -481,7 +481,7 @@ def criterion_tangent(seed: int = DEFAULT_SEED) -> CriterionResult:
     failures = []
     gated = 0
     for i in range(100):
-        rho = random_surface_sl2(2, rng)
+        rho = random_surface_sl2(2, rng, presentation=pres)
         report = tangent_dim_at(pres, rho)
         oracle = _tangent_by_elimination(pres, rho)
         if oracle != (report.z1, report.h0_ad):

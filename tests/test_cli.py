@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from braidhom import cli as cli_module
+from braidhom import cohomology as cohomology_module
+from braidhom import presentations as presentations_module
 from braidhom import verify as verify_module
 from braidhom.cli import build_parser, main
 
@@ -598,6 +600,25 @@ def test_tangent_sweep_digest(capsys):
                 assert code == 0
                 digest.update(out.encode("utf-8"))
     assert digest.hexdigest() == TANGENT_SWEEP
+
+
+def test_tangent_builds_the_surface_presentation_once(monkeypatch, capsys):
+    # the catalog builds it for the command and the sampler validates
+    # its images against that same presentation
+    built = []
+    real = presentations_module.surface_presentation
+
+    def counting(g):
+        built.append(g)
+        return real(g)
+
+    for module in (presentations_module, cohomology_module):
+        monkeypatch.setattr(module, "surface_presentation", counting)
+    for genus in (1, 2, 3, 7):
+        built.clear()
+        code, _, _ = run_cli(["tangent", "--genus", str(genus), "--seed", "4"], capsys)
+        assert code == 0
+        assert built == [genus]
 
 
 # ---------------------------------------------------------------------------

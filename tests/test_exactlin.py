@@ -147,6 +147,21 @@ class TestSmithNormalForm:
             assert y % x == 0
 
 
+class _PatternWatch(dict):
+    """A sparse column that records the rows written outside the ones it
+    started with."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.pattern = frozenset(entries)
+        self.fill = set()
+
+    def __setitem__(self, k, v):
+        if k not in self.pattern:
+            self.fill.add(k)
+        super().__setitem__(k, v)
+
+
 class TestSparseFrontEnd:
     """``elementary_divisors`` eliminates unit pivots sparsely before the
     dense engine; ``smith_normal_form`` runs the dense engine alone and is
@@ -176,6 +191,53 @@ class TestSparseFrontEnd:
         # no unit at all until the dense engine has reduced 2 and 3
         cols, row_index = _sparse_columns([{0: 2}, {0: 3}])
         assert _eliminate_units(cols, row_index) == 0
+
+    @pytest.mark.parametrize("rows", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_late_unit_found_in_any_order(self, rows, order):
+        # the row holding 3 and 7 has no unit until the corner is taken,
+        # whichever row and column come first
+        a = [[1, 2], [3, 7]]
+        columns = [{rows[i]: a[i][j] for i in range(2)} for j in order]
+        cols, row_index = _sparse_columns(columns)
+        assert _eliminate_units(cols, row_index) == 2
+        assert cols == {}
+
+    def test_matches_dense_engine_on_sparse_unit_matrices(self):
+        # up to 40 x 40, mostly +-1 entries, so that elimination order
+        # and fill-in matter; arrowheads fill in completely when their
+        # corner is taken first
+        rng = random.Random(2002)
+        for _ in range(40):
+            m, n = rng.randint(1, 40), rng.randint(1, 40)
+            values = rng.choice(((1, -1), (1, -1, 2), (1, -1, 1, -1, 3, -4)))
+            if rng.random() < 0.3:
+                k = min(m, n)
+                cells = [(i, i) for i in range(k)]
+                cells += [(0, i) for i in range(1, k)] + [(i, 0) for i in range(1, k)]
+            else:
+                density = rng.choice((0.05, 0.1, 0.2))
+                cells = [(i, j) for i in range(m) for j in range(n) if rng.random() < density]
+            a = IntMatrix.zeros(m, n)
+            for i, j in cells:
+                a.rows[i][j] = rng.choice(values)
+            cols = [{i: row[j] for i, row in enumerate(a.rows) if row[j]} for j in range(n)]
+            assert column_divisors(cols) == smith_normal_form(a).divisors
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 40])
+    def test_arrowhead_eliminates_without_fill(self, n):
+        # corner 1, arms 1 and -1, diagonal 1: the corner first would
+        # fill the whole block; the diagonal first writes nothing outside
+        # the pattern and leaves the Schur complement 1 + (n - 1) = n
+        columns = [{0: 1, **{i: -1 for i in range(1, n)}}]
+        columns += [{0: 1, i: 1} for i in range(1, n)]
+        cols, row_index = _sparse_columns(columns)
+        watched = {j: _PatternWatch(col) for j, col in cols.items()}
+        cols.update(watched)
+        assert _eliminate_units(cols, row_index) == n - 1
+        assert all(not col.fill for col in watched.values())
+        assert [list(col.values()) for col in cols.values()] in ([[n]], [[-n]])
+        assert column_divisors(columns) == (1,) * (n - 1) + (n,)
 
     def test_matches_dense_engine_on_random_matrices(self):
         rng = random.Random(20011)

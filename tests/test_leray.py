@@ -2,6 +2,7 @@
 dimensions and jump loci."""
 
 import itertools
+import math
 
 import pytest
 
@@ -18,6 +19,8 @@ from braidhom.exactlin import (
     bareiss_determinant,
     column_divisors,
     smith_normal_form,
+    _eliminate_units,
+    _sparse_columns,
 )
 from braidhom.leray import (
     _SIZE_LIMIT as SIZE_LIMIT,
@@ -117,6 +120,31 @@ class TestE2Fragment:
         assert column_divisors(f.d2) == (1,) * (n - 1) + (2,)
         assert smith_normal_form(dense_d2(f)).divisors == (1,) * (n - 1) + (2,)
 
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 20])
+    def test_pair_differential_eliminates_without_fill(self, g, n):
+        # every column owns 2g rows that no other column touches: each
+        # pivot is such a row, so no second column changes and no dense
+        # block is left
+        cols, row_index = _sparse_columns(e2_trivial(g, n).d2)
+        before = {j: dict(col) for j, col in cols.items()}
+        columns = dict(cols)
+        assert _eliminate_units(cols, row_index) == n * (n - 1) // 2
+        assert cols == {}
+        for j, col in columns.items():
+            assert len(col) == len(before[j]) - 1
+            assert col.items() <= before[j].items()
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_sphere_elimination_leaves_the_two(self, n):
+        # n - 1 unit pivots on K_n's incidence matrix; one row is left,
+        # and its entries have gcd 2
+        cols, row_index = _sparse_columns(e2_trivial(0, n).d2)
+        assert _eliminate_units(cols, row_index) == n - 1
+        (row,) = [i for i, js in row_index.items() if js]
+        assert all(col.keys() == {row} for col in cols.values())
+        assert math.gcd(*(col[row] for col in cols.values())) == 2
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_sphere_d2_rank_is_n(self, n):
         # every column joins two of the n orientation rows, so the rank
@@ -134,6 +162,8 @@ class TestE2Fragment:
     def test_size_bound_edge(self, g, n):
         f = e2_trivial(g, n)
         assert sum(map(len, f.d2)) == f.rank01 * (2 + 2 * g) <= SIZE_LIMIT
+        closed = (1,) * (n - 1) + (2,) if g == 0 else (1,) * f.rank01
+        assert column_divisors(f.d2) == closed
         big_g, big_n = (g + 1, n) if n == 2 else (g, n + 1)
         with pytest.raises(OutOfRangeError, match="limited to %d" % SIZE_LIMIT):
             e2_trivial(big_g, big_n)
