@@ -21,7 +21,9 @@ the acceptance checks draw from.
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .cyclotomic import certified_rank
@@ -454,16 +456,22 @@ def _elementary(rng: random.Random, spread: int, lower: bool) -> QMat:
     return QMat([[1, a], [0, 1]])
 
 
-def _random_sl2(rng: random.Random, spread: int) -> QMat:
+def _random_sl2(rng: random.Random, spread: int) -> tuple[QMat, QMat]:
     # an upper and a lower elementary factor in random order, plus an
-    # optional third; never triangular, never the identity
+    # optional third; never triangular, never the identity.  The inverse
+    # is the reversed product of the factors' inverses, each the factor
+    # with its off-diagonal entry negated.
     first_lower = rng.random() < 0.5
-    m = _elementary(rng, spread, first_lower) * _elementary(
-        rng, spread, not first_lower
-    )
+    factors = [
+        _elementary(rng, spread, first_lower),
+        _elementary(rng, spread, not first_lower),
+    ]
     if rng.random() < 0.5:
-        m = m * _elementary(rng, spread, rng.random() < 0.5)
-    return m
+        factors.append(_elementary(rng, spread, rng.random() < 0.5))
+    inverses = [
+        QMat.from_exact([[1, -f.rows[0][1]], [-f.rows[1][0], 1]]) for f in factors
+    ]
+    return reduce(mul, factors), reduce(mul, reversed(inverses))
 
 
 def random_surface_sl2(
@@ -488,19 +496,25 @@ def random_surface_sl2(
     if g < 1:
         raise OutOfRangeError("need genus at least 1")
     images: list[QMat] = []
+    inverses: list[QMat] = []
     for _ in range(g // 2):
-        x = _random_sl2(rng, spread)
-        y = _random_sl2(rng, spread)
-        comm = x * y * x.inverse() * y.inverse()
-        z = QMat.identity(2)
-        for _ in range(rng.randint(0, 1)):
-            z = z * comm
-        zinv = z.inverse()
-        images.extend([x, y, z * y * zinv, z * x * zinv])
+        x, xinv = _random_sl2(rng, spread)
+        y, yinv = _random_sl2(rng, spread)
+        images.extend([x, y])
+        inverses.extend([xinv, yinv])
+        if rng.randint(0, 1):
+            # Z = [X, Y] and Z^-1 = Y X Y^-1 X^-1
+            z, zinv = x * y * xinv * yinv, y * x * yinv * xinv
+            images.extend([z * y * zinv, z * x * zinv])
+            inverses.extend([z * yinv * zinv, z * xinv * zinv])
+        else:
+            images.extend([y, x])
+            inverses.extend([yinv, xinv])
     if g % 2:
-        w = _random_sl2(rng, spread)
+        w, winv = _random_sl2(rng, spread)
         images.extend([w, w * w])
+        inverses.extend([winv, winv * winv])
     p = surface_presentation(g) if presentation is None else presentation
-    rep = MatrixRep(p.alphabet, images, flavor="SL")
+    rep = MatrixRep(p.alphabet, images, flavor="SL", inverses=inverses)
     assert validate_matrix_rep(p, rep), "sampler emitted a non-representation"
     return rep

@@ -26,6 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+from .errors import OutOfRangeError
 from .exactlin import IntMatrix, column_divisors
 
 
@@ -225,6 +226,16 @@ def rank_kernel(rows: list[list], ncols: int, one):
 # ---------------------------------------------------------------------------
 # Certified rank through F_q.
 
+# The largest reduced order the certificate takes.  Finding an element of
+# order n in F_q factors q - 1 by trial division, which did not finish in
+# 20 s at N = 10^24 + 7, and past about 3.3 * 10^24 the fixed Miller-Rabin
+# bases of ``is_prime`` are no longer a proof.  The slowest case found below
+# the bound is `h1 --catalog "product(surface:2,surface:2)"` at a
+# character with a trivial factor, whose norm-bound fallback takes a
+# number of residue maps that grows with phi(N): about 1.7 s at
+# N = 40009 and 29 s at N = 999983 on a 2-core VM.
+_ORDER_LIMIT = 10**6
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for 64-bit-ish inputs."""
@@ -371,13 +382,19 @@ def certified_rank(rows: list[list], ncols: int, order: int, upper: int | None =
     exponent).  A ring map Z[zeta_n] -> F_q cannot raise the rank, so the
     rank over F_q under zeta -> w (w of order n, q the prime of
     ``splitting_root(n)``) is a lower bound; when it meets ``upper`` it
-    is the rank.  Otherwise the rank is the largest rank over F_q across
-    enough residue maps: if every rank-sized minor a != 0 lay in the
-    kernels of maps whose primes multiply to more than H^phi(n), so
-    would their product, and |Norm(a)| would exceed H^phi(n).  But each
-    complex conjugate of a is at most H by Hadamard's inequality, with H
-    the product of the largest row norms, each entry counted at the sum
-    of its |c|.  So that largest rank is exact.
+    is the rank.  Otherwise the rank is the largest rank ``best`` over
+    F_q across enough residue maps.  A rank above ``best`` needs a
+    nonzero (best + 1)-minor a, and a lies in the kernel of every map
+    taken, since none of them has rank above ``best``.  Those kernels are
+    distinct prime ideals, so their norms, the primes q, multiply to at
+    most |Norm(a)|.  But each complex conjugate of a is at most H by
+    Hadamard's inequality, with H the product of the best + 1 largest
+    row norms, each entry counted at the sum of its |c|, so |Norm(a)| is
+    at most H^phi(n).  Once the primes multiply past H^phi(n), with H
+    counted again whenever ``best`` rises, ``best`` is the rank.
+
+    Reduced orders n above ``_ORDER_LIMIT`` raise OutOfRangeError before
+    any residue map is built.
     """
     nrows = len(rows)
     bound = min(nrows, ncols) if upper is None else min(upper, nrows, ncols)
@@ -389,6 +406,10 @@ def certified_rank(rows: list[list], ncols: int, order: int, upper: int | None =
             for e in entry:
                 g = gcd(g, e)
     n = order // g
+    if n > _ORDER_LIMIT:
+        raise OutOfRangeError(
+            "reduced character order %d is above the limit %d" % (n, _ORDER_LIMIT)
+        )
     if g > 1:
         rows = [[{e // g: c for e, c in entry.items()} for entry in row] for row in rows]
     maps = _residue_maps(n)
@@ -396,17 +417,24 @@ def certified_rank(rows: list[list], ncols: int, order: int, upper: int | None =
     best = _rank_mod(_image(rows, q, w), ncols, q)
     if best == bound:
         return best, True
-    # bits of H^phi(n), from the squared row norms
+    # squared row norms, largest first; the bits of H^phi(n) are
+    # counted over the best + 1 largest, again whenever best rises
     norms = sorted(
         (sum(sum(abs(c) for c in t.values()) ** 2 for t in row) for row in rows),
         reverse=True,
     )
-    h2 = 1
-    for x in norms[: min(nrows, ncols)]:
-        h2 *= max(x, 1)
-    need = -(-euler_phi(n) * (h2 - 1).bit_length() // 2)
+    phi = euler_phi(n)
     have = q.bit_length() - 1
-    while have < need and best < bound:
+    counted = None
+    while best < bound:
+        if best != counted:
+            counted = best
+            h2 = 1
+            for x in norms[: best + 1]:
+                h2 *= max(x, 1)
+            need = -(-phi * (h2 - 1).bit_length() // 2)
+        if have >= need:
+            break
         q, w = next(maps)
         best = max(best, _rank_mod(_image(rows, q, w), ncols, q))
         have += q.bit_length() - 1

@@ -2,8 +2,9 @@
 
 Dense arbitrary precision matrices, Smith normal form with full unimodular
 transforms, elementary divisors through sparse unit-pivot elimination
-in front of the same dense engine (rows come off a bucket queue, fewest
-entries first), fraction free determinants, and a small rational matrix
+in front of the same dense engine (units alone in their row first, in
+one pass over the columns, then rows off a bucket queue, fewest entries
+first), fraction free determinants, and a small rational matrix
 type used for group representations, whose entries are ints wherever
 the denominator is 1 and Fractions only elsewhere; its inverse and
 determinant clear denominators and run fraction free on integers.
@@ -13,9 +14,10 @@ involved anywhere.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -255,14 +257,17 @@ def _sparse_columns(columns: Sequence[dict[int, int]]):
     {row: value}, with the index row -> set of columns holding an entry
     in that row."""
     cols: dict[int, dict[int, int]] = {}
-    row_index: dict[int, set[int]] = {}
+    row_index: defaultdict[int, set[int]] = defaultdict(set)
     for j, column in enumerate(columns):
-        col = {i: v for i, v in column.items() if v}
+        if 0 in column.values():
+            col = {i: v for i, v in column.items() if v}
+        else:
+            col = dict(column)
         if col:
             cols[j] = col
             for i in col:
-                row_index.setdefault(i, set()).add(j)
-    return cols, row_index
+                row_index[i].add(j)
+    return cols, dict(row_index)
 
 
 def _eliminate_units(cols, row_index) -> int:
@@ -353,12 +358,33 @@ def column_divisors(columns: Sequence[dict[int, int]]) -> tuple[int, ...]:
     has the entries ``columns[j]`` ({row: value}), without transform
     tracking.  The argument is left unchanged.
 
-    Unit pivots are eliminated first on sparse copies of the columns;
-    whatever block is left when no entry +-1 remains, usually nothing,
-    goes through the dense engine.
+    Two phases.  First one read-only pass over the columns, in order,
+    takes every unit alone in its row: with the rows counted once, a
+    column holding +-1 in a row of count 1 is a pivot that changes no
+    other column, so it splits off a divisor 1 and only lowers the counts
+    of its rows, which may free a later column.  A stored zero only
+    raises a count, so it can block such a pivot but never fake one.
+    When no row has count 1 the pass is skipped.  The columns left go to
+    sparse copies, whose unit pivots come off the bucket queue of
+    :func:`_eliminate_units`; whatever block is left when no entry +-1
+    remains, usually nothing, goes through the dense engine.
     """
-    cols, row_index = _sparse_columns(columns)
-    units = _eliminate_units(cols, row_index)
+    count = Counter(chain.from_iterable(columns))
+    units = 0
+    rest = columns
+    if 1 in count.values():
+        rest = []
+        for column in columns:
+            for i, v in column.items():
+                if count[i] == 1 and (v == 1 or v == -1):
+                    units += 1
+                    for k in column:
+                        count[k] -= 1
+                    break
+            else:
+                rest.append(column)
+    cols, row_index = _sparse_columns(rest)
+    units += _eliminate_units(cols, row_index)
     rows = sorted(i for i, js in row_index.items() if js)
     where = {j: t for t, j in enumerate(sorted(cols))}
     M = []

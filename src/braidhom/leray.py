@@ -29,9 +29,11 @@ from .presentations import CharacterTuple, SpaceSpec, _pair_list, catalog
 # before anything is built: it caps the nonzero entries of the pair
 # differential, the components of a jump locus and the index pairs of a
 # character tuple.  At 2 * 10^5 nonzeros (genus:2 admits n <= 258) the
-# Smith form of the sparse pair differential takes about 0.2 s for
-# genus >= 1 and 0.6 s for the sphere, and `b1` about 0.5 s and 1 s end
-# to end, on a 2-core VM.
+# Smith form of the sparse pair differential takes about 0.13 s for
+# genus >= 1 and 0.85 s for the sphere in process.  End to end in a
+# fresh process on a 2-core VM, `b1` takes 0.33 s and 43 MiB peak RSS at
+# genus:2 n=258, 0.31 s and 43 MiB at genus:1 n=316, and 1.0 s and
+# 111 MiB at sphere n=447.
 _SIZE_LIMIT = 200_000
 
 

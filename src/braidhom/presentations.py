@@ -32,7 +32,7 @@ from .errors import (
     PresentationParseError,
 )
 from .exactlin import QMat, _times
-from .words import Alphabet, Word, commutator, generator_word
+from .words import Alphabet, Word, generator_word
 
 __all__ = [
     "Presentation",
@@ -296,16 +296,12 @@ def product_presentation(*factors: Presentation) -> Presentation:
     relators: list[Word] = []
     for off, p in zip(offsets, factors):
         relators.extend(shift(r, off) for r in p.relators)
+    # a b a^-1 b^-1 for generators a != b is already reduced
     for ka in range(len(factors)):
         for kb in range(ka + 1, len(factors)):
-            for ia in range(len(factors[ka].alphabet)):
-                for ib in range(len(factors[kb].alphabet)):
-                    relators.append(
-                        commutator(
-                            generator_word(offsets[ka] + ia),
-                            generator_word(offsets[kb] + ib),
-                        )
-                    )
+            for a in range(offsets[ka], offsets[ka] + len(factors[ka].alphabet)):
+                for b in range(offsets[kb], offsets[kb] + len(factors[kb].alphabet)):
+                    relators.append(Word(((a, 1), (b, 1), (a, -1), (b, -1))))
     warnings = tuple(w for p in factors for w in p.warnings)
     return Presentation(
         alphabet,
@@ -725,7 +721,9 @@ class MatrixRep:
 
     ``flavor`` is "SL" (unit determinant enforced per generator) or "GL"
     (any nonzero determinant).  Word evaluation multiplies images left to
-    right on plain row lists; inverses are cached.
+    right on plain row lists; inverses are cached.  ``inverses``, when
+    the caller already holds them, lists the inverse images in generator
+    order; each is checked by one product against the identity.
     """
 
     __slots__ = ("alphabet", "images", "flavor", "dim", "_inverses")
@@ -735,6 +733,7 @@ class MatrixRep:
         alphabet: Alphabet,
         images: Mapping[str, QMat] | Sequence[QMat],
         flavor: str = "SL",
+        inverses: Sequence[QMat] | None = None,
     ):
         if flavor not in ("SL", "GL"):
             raise InputError("flavor must be SL or GL, got %r" % flavor)
@@ -765,6 +764,17 @@ class MatrixRep:
         self.flavor = flavor
         self.dim = d
         self._inverses: dict[int, QMat] = {}
+        if inverses is not None:
+            inverses = list(inverses)
+            if len(inverses) != k:
+                raise InputError("expected %d inverse images, got %d" % (k, len(inverses)))
+            one = QMat.identity(d)
+            for i, (m, minv) in enumerate(zip(mats, inverses)):
+                if not isinstance(minv, QMat) or minv.n != d or m * minv != one:
+                    raise InputError(
+                        "inverse image of %s is not its inverse" % alphabet.names[i]
+                    )
+                self._inverses[i] = minv
 
     def image(self, gen: int | str) -> QMat:
         i = gen if isinstance(gen, int) else self.alphabet.index_of(gen)

@@ -134,7 +134,7 @@ def criterion_fox_identity(seed: int = DEFAULT_SEED) -> CriterionResult:
         if not _fox_identity_character(w, chi):
             failures.append((i, "character", w))
         if i % 20 == 0:
-            rho = MatrixRep(alphabet, [_random_sl2(rng, 3) for _ in range(k)])
+            rho = MatrixRep(alphabet, [_random_sl2(rng, 3)[0] for _ in range(k)])
             if not _fox_identity_matrix(w, rho):
                 failures.append((i, "matrix", w))
     return _result(

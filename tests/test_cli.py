@@ -62,6 +62,24 @@ class TestH1:
         assert out == ""
         assert "radial" in err
 
+    @pytest.mark.parametrize("N", [10**6 + 3, 10**24 + 7])
+    def test_order_past_limit_exits_2(self, tmp_path, N, capsys):
+        # the residue maps would factor q - 1 by trial division, which
+        # did not finish in 20 s at N = 10^24 + 7
+        chi = write_json(tmp_path / "chi.json", {"N": N, "values": {"a": 1, "b": 0}})
+        code, out, err = run_cli(["h1", "--catalog", "surface:1", "--char", chi], capsys)
+        assert code == 2
+        assert out == ""
+        assert "reduced character order %d is above the limit" % N in err
+
+    @pytest.mark.parametrize("N,a", [(10**6, 1), (7 * (10**24 + 7), 10**24 + 7)])
+    def test_order_within_limit(self, tmp_path, N, a, capsys):
+        # the limit is on the order after dividing out the exponent gcd
+        chi = write_json(tmp_path / "chi.json", {"N": N, "values": {"a": a, "b": 0}})
+        code, out, _ = run_cli(["h1", "--catalog", "surface:1", "--char", chi], capsys)
+        assert code == 0
+        assert json.loads(out) == {"anchors": [], "h1": 0, "mode": "exact"}
+
     def test_presentation_file(self, tmp_path, capsys):
         pres = tmp_path / "free2.pres"
         pres.write_text("gens: x y\n", encoding="utf-8")

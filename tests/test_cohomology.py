@@ -522,6 +522,31 @@ class TestSamplers:
         again = random_surface_sl2(g, seeded_rng(g * 11))
         assert [m.rows for m in again.images] == [m.rows for m in rep.images]
 
+    @pytest.mark.parametrize("spread", [1, 3, 10**30])
+    def test_random_sl2_inverse_by_construction(self, spread):
+        rng = seeded_rng(spread)
+        one = QMat.identity(2)
+        for _ in range(50):
+            m, minv = cohomology._random_sl2(rng, spread)
+            assert m * minv == one and minv * m == one
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_tangent_takes_no_inverse(self, g, monkeypatch):
+        # the sampler builds every inverse image by construction and
+        # MatrixRep checks it by one product
+        inverted = []
+        inverse = QMat.inverse
+
+        def counted(self):
+            inverted.append(self.n)
+            return inverse(self)
+
+        monkeypatch.setattr(QMat, "inverse", counted)
+        p = surface_presentation(g)
+        rho = random_surface_sl2(g, seeded_rng(g), presentation=p)
+        tangent_dim_at(p, rho)
+        assert inverted == []
+
     @pytest.mark.parametrize("spread", [1, 2, 5])
     def test_elementary_entries_cover_the_nonzero_range(self, spread):
         rng = seeded_rng(spread)

@@ -1,5 +1,6 @@
 """Tests for cyclotomic integers, their regular representation, and rank."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from braidhom.cyclotomic import (
     rank_kernel,
     splitting_root,
 )
+from braidhom.errors import OutOfRangeError
 from braidhom.exactlin import IntMatrix, bareiss_determinant
 
 
@@ -309,6 +311,60 @@ class TestModularPath:
             if n > 1:
                 assert certified_rank([[{1: 1, 0: -w}]], 1, n) == (1, False)
                 assert certified_rank([[{1: q}, {0: 1}]], 2, n, upper=1) == (1, True)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_fallback_counts_best_plus_one_row_norms(self, n, monkeypatch):
+        # a rank one 3 x 3 matrix with large rows: the first map already
+        # sees rank 1, and the fallback stops once the primes outweigh
+        # H^phi(n) for H over the 2 largest row norms, before the count
+        # over all 3 would let it
+        base = [{0: 2, 1 % n: -1}, {3 % n: 1}, {0: 1, 2 % n: 3}]
+        shifted = [{(e + 1) % n: c for e, c in t.items()} for t in base]
+        rows = [
+            [{e: c * m for e, c in t.items()} for t in row]
+            for row, m in ((base, 10**6), (shifted, 10**6), (base, 10**6 + 1))
+        ]
+        primes = []
+
+        def spy(M, ncols, q):
+            primes.append(q)
+            return rank_mod(M, ncols, q)
+
+        rank_mod = cyclotomic._rank_mod
+        monkeypatch.setattr(cyclotomic, "_rank_mod", spy)
+        assert certified_rank(rows, 3, n) == (1, False)
+        assert CycContext(n).rank(rows, 3) == 1
+        norms = sorted(
+            (sum(sum(map(abs, t.values())) ** 2 for t in row) for row in rows),
+            reverse=True,
+        )
+
+        def maps_needed(k):
+            need = -(-euler_phi(n) * (math.prod(norms[:k]) - 1).bit_length() // 2)
+            have = 0
+            for taken, q in enumerate(primes, 1):
+                have += q.bit_length() - 1
+                if have >= need:
+                    return taken
+            return None
+
+        assert maps_needed(2) == len(primes) > 1
+        assert maps_needed(3) is None
+
+    def test_order_limit_counts_the_reduced_order(self):
+        limit = cyclotomic._ORDER_LIMIT
+        assert limit >= 10007
+        assert certified_rank([[{1: 1}]], 1, limit) == (1, True)
+        with pytest.raises(OutOfRangeError, match="above the limit %d" % limit):
+            certified_rank([[{1: 1}]], 1, limit + 1)
+        # order_n_root would factor q - 1 by trial division to sqrt(q)
+        big = 10**24 + 7
+        with pytest.raises(OutOfRangeError):
+            certified_rank([[{1: 1, 0: -1}]], 1, big)
+        # exponents sharing the factor big reduce the order to 7
+        assert certified_rank([[{big: 1, 0: -1}]], 1, 7 * big) == (1, True)
+        # a matrix with no entries needs no residue map
+        assert certified_rank([], 3, big) == (0, True)
 
     @pytest.mark.parametrize("n", [1, 4, 9, 10, 12])
     def test_certified_rank_planted_deficiency(self, n):

@@ -13,6 +13,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidhom import exactlin
 from braidhom.exactlin import (
     AbelianProfile,
     IntMatrix,
@@ -295,6 +296,69 @@ class TestColumnDivisors:
             before = [dict(c) for c in cols]
             column_divisors(cols)
             assert cols == before
+
+    def test_private_row_pass_matches_dense_engine(self):
+        # private-row units, stored zeros (which block a pivot in their
+        # row but are never one) and cascades (a chain whose k-th column
+        # has a unit in a row shared with the column before it)
+        rng = random.Random(1606)
+        for _ in range(300):
+            shared = rng.randint(0, 6)
+            top = shared
+            columns = []
+            for _ in range(rng.randint(0, 10)):
+                rows = rng.sample(range(shared), rng.randint(0, min(3, shared)))
+                col = {i: rng.choice((1, -1, 2, -3)) for i in rows}
+                for _ in range(rng.choice((0, 0, 1, 2))):
+                    col[top] = rng.choice((1, -1, 1, 2))
+                    top += 1
+                columns.append(col)
+            for _ in range(rng.randint(0, 2)):
+                link = top
+                columns.append({link: rng.choice((1, -1, 2)), top + 1: 1})
+                top += 2
+                for _ in range(rng.randint(1, 4)):
+                    col = {link: rng.choice((1, 2, -3)), top: rng.choice((1, -1))}
+                    if shared:
+                        col[rng.randrange(shared)] = rng.choice((1, -2))
+                    columns.append(col)
+                    link, top = top, top + 1
+            for col in columns:
+                if rng.random() < 0.3:
+                    col[rng.randrange(top + 1)] = 0
+            if rng.random() < 0.5:
+                rng.shuffle(columns)
+            before = [dict(c) for c in columns]
+            a = IntMatrix.zeros(top + 1, len(columns))
+            for j, col in enumerate(columns):
+                for i, v in col.items():
+                    a.rows[i][j] = v
+            assert column_divisors(columns) == smith_normal_form(a).divisors
+            assert columns == before
+
+    def test_cascade_in_column_order_leaves_the_queue_nothing(self, monkeypatch):
+        # column k has its unit in the row it shares with column k - 1,
+        # so each leaves only after the one before it; in reverse order
+        # the pass takes the last column only and the queue the rest
+        seen = []
+
+        def spy(columns):
+            seen.append([dict(c) for c in columns])
+            return _sparse_columns(columns)
+
+        monkeypatch.setattr(exactlin, "_sparse_columns", spy)
+        chain = [{0: 1, 1: 2}] + [{k: -1, k + 1: 3} for k in range(1, 6)]
+        assert column_divisors(chain) == (1,) * 6
+        assert seen == [[]]
+        seen.clear()
+        assert column_divisors(chain[::-1]) == (1,) * 6
+        assert seen == [chain[:0:-1]]
+        # a stored zero in the private row blocks the first pivot, and
+        # with it the whole cascade
+        blocked = [{0: 1, 1: 2}, {0: 0}] + chain[1:]
+        seen.clear()
+        assert column_divisors(blocked) == (1,) * 6
+        assert seen == [blocked]
 
     @settings(max_examples=100, deadline=None)
     @given(small_matrices)

@@ -14,6 +14,7 @@ from braidhom.errors import (
     OutOfRangeError,
     OutOfScopeError,
 )
+from braidhom import exactlin
 from braidhom.exactlin import (
     IntMatrix,
     bareiss_determinant,
@@ -134,6 +135,36 @@ class TestE2Fragment:
         for j, col in columns.items():
             assert len(col) == len(before[j]) - 1
             assert col.items() <= before[j].items()
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_private_row_pass_takes_every_column(self, g, n, monkeypatch):
+        # each column's first private row is a unit of count 1, so the
+        # pass takes every column and the bucket queue receives none
+        seen = []
+
+        def spy(columns):
+            seen.append(list(columns))
+            return _sparse_columns(columns)
+
+        monkeypatch.setattr(exactlin, "_sparse_columns", spy)
+        assert column_divisors(e2_trivial(g, n).d2) == (1,) * (n * (n - 1) // 2)
+        assert seen == [[]]
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_sphere_has_no_private_rows(self, n, monkeypatch):
+        # every orientation row holds n - 1 >= 2 entries, so the pass
+        # takes nothing and the queue receives every column
+        seen = []
+
+        def spy(columns):
+            seen.append(list(columns))
+            return _sparse_columns(columns)
+
+        monkeypatch.setattr(exactlin, "_sparse_columns", spy)
+        f = e2_trivial(0, n)
+        assert column_divisors(f.d2) == (1,) * (n - 1) + (2,)
+        assert seen == [list(f.d2)]
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_sphere_elimination_leaves_the_two(self, n):

@@ -107,6 +107,21 @@ class TestCatalogProducts:
         assert p.num_relators == 6
         assert len(p.product_factors) == 2
 
+    def test_cross_commutators_match_the_word_product(self):
+        # built directly as (a, b, a^-1, b^-1), in factor-pair order
+        factors = (surface_presentation(1), free_presentation(2), artin_pure_presentation(3))
+        p = product_presentation(*factors)
+        sizes = [len(f.alphabet) for f in factors]
+        offsets = [0, sizes[0], sizes[0] + sizes[1]]
+        cross = [
+            commutator(generator_word(offsets[ka] + i), generator_word(offsets[kb] + j))
+            for ka, kb in ((0, 1), (0, 2), (1, 2))
+            for i in range(sizes[ka])
+            for j in range(sizes[kb])
+        ]
+        own = sum(len(f.relators) for f in factors)
+        assert p.relators[own:] == tuple(cross)
+
     def test_product_needs_two_factors(self):
         with pytest.raises(InputError):
             product_presentation(surface_presentation(1))
@@ -572,6 +587,19 @@ class TestMatrixRep:
         p = free_presentation(1)
         with pytest.raises(InputError):
             MatrixRep(p.alphabet, [QMat([[1, 0], [0, 0]])], flavor="GL")
+
+    def test_given_inverses_are_checked_and_kept(self):
+        p = free_presentation(2)
+        a, b = self.unipotents()
+        ainv, binv = QMat([[1, -1], [0, 1]]), QMat([[1, 0], [-2, 1]])
+        rep = MatrixRep(p.alphabet, [a, b], inverses=[ainv, binv])
+        assert rep.inverse_image(0) is ainv and rep.inverse_image("b") is binv
+        for wrong in ([ainv, ainv], [ainv], [ainv, QMat.identity(3)]):
+            with pytest.raises(InputError):
+                MatrixRep(p.alphabet, [a, b], inverses=wrong)
+        # the determinant check stays
+        with pytest.raises(InputError, match="determinant"):
+            MatrixRep(p.alphabet, [a, QMat([[2, 0], [0, 1]])], inverses=[ainv, binv])
 
     def test_word_value(self):
         p = free_presentation(2)
