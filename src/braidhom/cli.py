@@ -50,12 +50,16 @@ __all__ = ["main"]
 _TEXT_TO_KEY = {text: key for key, text in ANCHORS.items()}
 
 
+# one encoder for every payload: ``json.dumps`` builds a new one per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(payload: dict, flags=()) -> None:
     """Print one payload; a ``flags`` list is added only where there is
     something to flag, so payloads with nothing to flag keep their keys."""
     if flags:
         payload["flags"] = list(flags)
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    sys.stdout.write(_ENCODER.encode(payload) + "\n")
 
 
 def _read_text(path: str) -> str:
@@ -358,8 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     Building it costs a few milliseconds, several times the mathematics
     of a small query, so repeated ``main`` calls in one process share it.
-    Reuse is safe: ``parse_args`` returns a fresh namespace on every call
-    and the handlers are plain module functions.
+    Reuse is safe: parsing returns a fresh namespace on every call and
+    the handlers are plain module functions.
+
+    ``main`` hands the arguments after the command name straight to that
+    subcommand's parser; the top-level parser answers only help, a
+    missing or unknown command and leftover arguments.
     """
     parser = argparse.ArgumentParser(
         prog="braidhom",
@@ -442,12 +450,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
+    parser.commands = sub.choices  # name -> subparser, read by _parse
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv: list) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, parsed once.
+
+    The top-level parser would itself pass everything after a known
+    command name to that subcommand's ``parse_known_args``, so that call
+    is made directly.  Empty argv, top-level options, unknown commands
+    and leftover arguments go to the top-level parser, which prints the
+    same usage and errors as ever.
+    """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except BraidhomError as exc:

@@ -515,7 +515,11 @@ class Character:
     # -- algebra
 
     def rescale(self, order: int) -> "Character":
-        """The same character presented in the cyclotomy of ``order``."""
+        """The same character presented in the cyclotomy of ``order``;
+        the character itself when the order is already ``order``, since
+        a character never changes after construction."""
+        if order == self.order:
+            return self
         if order % self.order:
             raise InputError(
                 "cannot rescale order %d to non-multiple %d" % (self.order, order)

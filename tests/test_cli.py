@@ -1,8 +1,9 @@
 """Subcommand surface not already pinned by the acceptance gate:
 character file loading, fragment and jump locus reports, the verify
 selection and failure exit, catalog limits, malformed and unreadable
-file diagnostics, reuse of one parser across calls, and sha256 digests
-of the default stdout of every subcommand."""
+file diagnostics, reuse of one parser across calls, dispatch straight
+to the subcommand's parser, and sha256 digests of the default stdout of
+every subcommand."""
 
 import argparse
 import hashlib
@@ -302,9 +303,9 @@ class TestVerifyCommand:
         assert "99" in err
 
     def test_named_selection(self, capsys):
-        code, out, _ = run_cli(["verify", "--criteria", "snf"], capsys)
+        code, out, _ = run_cli(["verify", "--criteria", "sphere-b1"], capsys)
         assert code == 0
-        assert out.startswith("[PASS] criterion 2 (snf)")
+        assert out.startswith("[PASS] criterion 4 (sphere-b1)")
 
     @pytest.fixture
     def ran(self, monkeypatch):
@@ -691,3 +692,89 @@ class TestParserReuse:
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
         assert texts[0].startswith("usage: braidhom")
+
+
+# ---------------------------------------------------------------------------
+# dispatch straight to the subcommand's parser
+
+DISPATCH_ARGVS = [
+    "abelianize --catalog surface:2",
+    "abelianize --file x.pres --json",
+    "h1 --catalog surface:2 --char chi.json",
+    "b1 --space genus:2 --n 5",
+    "twisted --space genus:1 --n 3 --char t.json --json",
+    "e2 --space sphere --n 4",
+    "sigma1 --space genus:1 --n 2",
+    "membership --space c-star --n 2 --char t.json",
+    "charvar --genus 2 --ranks 2,3 --flavor GL",
+    "tangent --genus 3 --seed 7 --spread 40",
+    "tangent --genus -3",
+    "verdict --space genus:2 --n 3 --flavor full",
+    "charp --group artin_pure:4 --p 3",
+    "verify --criteria 99",
+    "verify",
+    "b1 --space genus:2 --n -3",
+    # usage errors, help and the edges of the grammar
+    "",
+    "-h",
+    "--help",
+    "b1 --space genus:2",
+    "h1 --catalog surface:2 --char chi.json --mode exact",
+    "b1 --space genus:2 --n 5 extra",
+    "bogus --n 5",
+    "b1 --space genus:2 --n x",
+    "verdict --space genus:2 --n 3 --flavor mixed",
+    "twisted --help",
+    "b1 --sp genus:2 --n 5",
+    "--",
+    "b1 -- --space genus:2 --n 5",
+    "b1 --space genus:2 --n 5 -h",
+    "-x b1 --space genus:2 --n 5",
+]
+
+
+def _outcome(call, argv, capsys):
+    """The namespace a parse returns, or its exit code, with the text it
+    printed."""
+    try:
+        result = vars(call(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda a: a or "<empty>")
+def test_dispatch_matches_top_level_parse(argv, fresh_parser, capsys):
+    argv = argv.split()
+    parsed = []
+
+    def record(args):
+        parsed.append(args)
+        return 0
+
+    for sub in build_parser().commands.values():
+        sub.set_defaults(func=record)
+
+    def through_main(argv):
+        assert main(argv) == 0
+        return parsed.pop()
+
+    expected = _outcome(build_parser().parse_args, argv, capsys)
+    assert _outcome(through_main, argv, capsys) == expected
+    assert parsed == []
+
+
+def test_known_command_parsed_once_by_its_subparser(fresh_parser, monkeypatch, capsys):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    build_parser()
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    code, _, _ = run_cli(["b1", "--space", "sphere", "--n", "4"], capsys)
+    assert code == 0
+    assert calls == ["braidhom b1"]

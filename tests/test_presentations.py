@@ -523,6 +523,17 @@ class TestCharacterTuple:
         assert t.components[0].exponents == (3, 0)
         assert t.components[1].exponents == (0, 2)
 
+    def test_shared_order_keeps_components(self):
+        p = surface_presentation(1)
+        chis = [Character(p.alphabet, 6, {"a": 1}), Character(p.alphabet, 6, {"b": 5})]
+        t = CharacterTuple(chis)
+        assert all(c is chi for c, chi in zip(t.components, chis))
+        assert chis[0].rescale(6) is chis[0]
+        mixed = CharacterTuple([chis[0], Character(p.alphabet, 4, {"b": 1})])
+        assert mixed.order == 12
+        assert mixed.components[0] is not chis[0]
+        assert [c.exponents for c in mixed.components] == [(2, 0), (0, 3)]
+
     def test_pair_product_trivial(self):
         p = surface_presentation(1)
         chi = Character(p.alphabet, 5, {"a": 2, "b": 1})
