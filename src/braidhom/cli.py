@@ -460,8 +460,8 @@ def _parse(argv: list) -> argparse.Namespace:
     The top-level parser would itself pass everything after a known
     command name to that subcommand's ``parse_known_args``, so that call
     is made directly.  Empty argv, top-level options, unknown commands
-    and leftover arguments go to the top-level parser, which prints the
-    same usage and errors as ever.
+    and leftover arguments go to the top-level parser, which prints
+    their usage, help and errors.
     """
     parser = build_parser()
     sub = parser.commands.get(argv[0]) if argv else None
