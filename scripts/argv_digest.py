@@ -71,15 +71,9 @@ def digest(name, seed):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument(
-        "--workload",
-        choices=("jumploci", "fragments", "fields"),
-        action="append",
-        help="repeatable; default all three",
-    )
     args = ap.parse_args()
     total = 0
-    for name in args.workload or ("jumploci", "fragments", "fields"):
+    for name in ("jumploci", "fragments", "fields"):
         count, hexdigest = digest(name, args.seed)
         total += count
         print("%-9s seed %d  %5d argvs  sha256 %s" % (name, args.seed, count, hexdigest))
