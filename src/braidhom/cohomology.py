@@ -21,9 +21,8 @@ the acceptance checks draw from.
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import Optional, Sequence
 
 from .cyclotomic import certified_rank
@@ -67,26 +66,22 @@ def abelianization(p: Presentation) -> AbelianProfile:
 
 class _Coefficients:
     """The images of the generators of a matrix coefficient system and
-    of their inverses, assembled once and shared by the Fox Jacobian and
-    H^0.  The inverse images come from ``phi.inverse_image``: the cached
-    inverse of a MatrixRep image, the closed-form adjoint of an
-    AdjointRep one; no word is evaluated.  Each image is also kept as
-    its columns, ready for :func:`exactlin._times`."""
+    of their inverses, as the columns :func:`exactlin._times` reads,
+    assembled once and shared by the Fox Jacobian and H^0.  They come
+    from ``phi.columns``: the cached inverse of a MatrixRep image
+    transposed, the closed-form adjoint of an AdjointRep one read off
+    as columns; no word is evaluated and no matrix is transposed back."""
 
-    __slots__ = ("dim", "images", "_columns")
+    __slots__ = ("dim", "images", "inverses")
 
     def __init__(self, phi):
         self.dim = phi.dim
         k = len(phi.alphabet)
-        self.images = [phi.image(g) for g in range(k)]
-        inverses = [phi.inverse_image(g) for g in range(k)]
-        self._columns = {
-            1: [list(zip(*m.rows)) for m in self.images],
-            -1: [list(zip(*m.rows)) for m in inverses],
-        }
+        self.images = [phi.columns(g, 1) for g in range(k)]
+        self.inverses = [phi.columns(g, -1) for g in range(k)]
 
     def columns(self, g: int, s: int) -> list:
-        return self._columns[s][g]
+        return self.images[g] if s == 1 else self.inverses[g]
 
 
 def _validate(p: Presentation, phi) -> None:
@@ -151,11 +146,14 @@ class FoxJacobian:
 def _rational_rank(rows, ncols: int, upper: Optional[int] = None) -> int:
     """Rank over Q of a matrix of ints and Fractions.  Scaling a row by
     the lcm of its denominators keeps the rank, and an integer c is the
-    element {0: c} of Z[zeta_1], so the certificate at order 1 applies."""
+    element {0: c} of Z[zeta_1], so the certificate at order 1 applies.
+    A row without a Fraction is already integral and is not scaled."""
     scaled = []
     for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        scaled.append([{0: x.numerator * (den // x.denominator)} if x else {} for x in row])
+        if Fraction in map(type, row):
+            den = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (den // x.denominator) for x in row]
+        scaled.append([{0: x} if x else {} for x in row])
     return certified_rank(scaled, ncols, 1, upper)[0]
 
 
@@ -235,13 +233,18 @@ def _h0_unchecked(p: Presentation, phi, coeff: Optional[_Coefficients] = None) -
     d = coeff.dim
     if k == 0:
         return d
+    # the invariants are the joint kernel of the phi(g) - I, whose
+    # stacked rank is that of its d x kd transpose: row i holds column i
+    # of every phi(g) - I, read straight off the columns
     rows = []
-    for m in coeff.images:
-        for i, r in enumerate(m.rows):
-            delta = list(r)
-            delta[i] -= 1
-            rows.append(delta)
-    return d - _rational_rank(rows, d)
+    for i in range(d):
+        row = []
+        for cols in coeff.images:
+            row.extend(cols[i])
+        for j in range(i, k * d, d):
+            row[j] -= 1
+        rows.append(row)
+    return d - _rational_rank(rows, k * d)
 
 
 def h0_dim(p: Presentation, phi) -> int:
@@ -447,20 +450,26 @@ def random_character_tuple(
     return CharacterTuple(components)
 
 
-def _elementary(rng: random.Random, spread: int, lower: bool) -> QMat:
-    # a uniform nonzero value in [-spread, spread], without listing them
+def _elementary(rng: random.Random, spread: int, lower: bool) -> list[list[int]]:
+    # the rows of an elementary matrix whose off-diagonal entry is a
+    # uniform nonzero value in [-spread, spread], without listing them
     a = rng.randrange(-spread, spread)
     a += a >= 0
     if lower:
-        return QMat([[1, 0], [a, 1]])
-    return QMat([[1, a], [0, 1]])
+        return [[1, 0], [a, 1]]
+    return [[1, a], [0, 1]]
+
+
+def _adjugate(m: QMat) -> QMat:
+    # [[d, -b], [-c, a]], the inverse of a 2 x 2 matrix of determinant 1
+    (a, b), (c, d) = m.rows
+    return QMat.from_exact([[d, -b], [-c, a]])
 
 
 def _random_sl2(rng: random.Random, spread: int) -> tuple[QMat, QMat]:
     # an upper and a lower elementary factor in random order, plus an
-    # optional third; never triangular, never the identity.  The inverse
-    # is the reversed product of the factors' inverses, each the factor
-    # with its off-diagonal entry negated.
+    # optional third; never triangular, never the identity.  The product
+    # has determinant 1, so its inverse is its adjugate.
     first_lower = rng.random() < 0.5
     factors = [
         _elementary(rng, spread, first_lower),
@@ -468,10 +477,11 @@ def _random_sl2(rng: random.Random, spread: int) -> tuple[QMat, QMat]:
     ]
     if rng.random() < 0.5:
         factors.append(_elementary(rng, spread, rng.random() < 0.5))
-    inverses = [
-        QMat.from_exact([[1, -f.rows[0][1]], [-f.rows[1][0], 1]]) for f in factors
-    ]
-    return reduce(mul, factors), reduce(mul, reversed(inverses))
+    m = factors[0]
+    for f in factors[1:]:
+        m = _times(m, list(zip(*f)))
+    m = QMat.from_exact(m)
+    return m, _adjugate(m)
 
 
 def random_surface_sl2(
@@ -491,7 +501,9 @@ def random_surface_sl2(
     (Z Y Z^-1, Z X Z^-1) with Z a power of [X, Y] on the next, so the
     two handle commutators cancel.  An odd leftover handle takes a
     commuting pair (W, W^2).  Genus 1 therefore only ever produces
-    commuting (reducible) pairs; the interesting range is g >= 2.
+    commuting (reducible) pairs; the interesting range is g >= 2.  Every
+    image has determinant 1, so each inverse is its adjugate, and
+    MatrixRep checks each against the identity.
     """
     if g < 1:
         raise OutOfRangeError("need genus at least 1")
@@ -503,17 +515,20 @@ def random_surface_sl2(
         images.extend([x, y])
         inverses.extend([xinv, yinv])
         if rng.randint(0, 1):
-            # Z = [X, Y] and Z^-1 = Y X Y^-1 X^-1
-            z, zinv = x * y * xinv * yinv, y * x * yinv * xinv
-            images.extend([z * y * zinv, z * x * zinv])
-            inverses.extend([z * yinv * zinv, z * xinv * zinv])
+            # Z = [X, Y]
+            z = x * y * xinv * yinv
+            zinv = _adjugate(z)
+            mirror = [z * y * zinv, z * x * zinv]
+            images.extend(mirror)
+            inverses.extend(_adjugate(m) for m in mirror)
         else:
             images.extend([y, x])
             inverses.extend([yinv, xinv])
     if g % 2:
         w, winv = _random_sl2(rng, spread)
-        images.extend([w, w * w])
-        inverses.extend([winv, winv * winv])
+        w2 = w * w
+        images.extend([w, w2])
+        inverses.extend([winv, _adjugate(w2)])
     p = surface_presentation(g) if presentation is None else presentation
     rep = MatrixRep(p.alphabet, images, flavor="SL", inverses=inverses)
     assert validate_matrix_rep(p, rep), "sampler emitted a non-representation"

@@ -402,6 +402,8 @@ def certified_rank(rows: list[list], ncols: int, order: int, upper: int | None =
         return 0, True
     g = order
     for row in rows:
+        if g == 1:
+            break
         for entry in row:
             for e in entry:
                 g = gcd(g, e)

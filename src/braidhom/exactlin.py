@@ -408,14 +408,12 @@ def elementary_divisors(a: IntMatrix) -> tuple[int, ...]:
     return column_divisors(columns)
 
 
-def bareiss_determinant(a: IntMatrix) -> int:
-    """Exact determinant by fraction free (Bareiss) elimination."""
-    if a.nrows != a.ncols:
-        raise ValueError("determinant of a nonsquare matrix")
-    n = a.nrows
+def _bareiss(M: list[list[int]]) -> int:
+    """Determinant of the square integer matrix with rows ``M`` by
+    fraction free (Bareiss) elimination; ``M`` is overwritten."""
+    n = len(M)
     if n == 0:
         return 1
-    M = [r[:] for r in a.rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -433,6 +431,13 @@ def bareiss_determinant(a: IntMatrix) -> int:
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
+
+
+def bareiss_determinant(a: IntMatrix) -> int:
+    """Exact determinant by fraction free (Bareiss) elimination."""
+    if a.nrows != a.ncols:
+        raise ValueError("determinant of a nonsquare matrix")
+    return _bareiss([r[:] for r in a.rows])
 
 
 def is_unimodular(a: IntMatrix) -> bool:
@@ -575,14 +580,19 @@ class QMat:
 
     def _cleared(self) -> tuple[list[list[int]], int]:
         """(B, d) with B an integer matrix and self = B / d, d > 0 the
-        least common denominator of the entries."""
-        d = lcm(*(e.denominator for r in self.rows for e in r))
-        return [[e.numerator * (d // e.denominator) for e in r] for r in self.rows], d
+        least common denominator of the entries; an integer matrix is
+        copied as it is."""
+        rows = self.rows
+        if not any(Fraction in map(type, r) for r in rows):
+            return [r[:] for r in rows], 1
+        d = lcm(*(e.denominator for r in rows for e in r))
+        return [[e.numerator * (d // e.denominator) for e in r] for r in rows], d
 
     def determinant(self) -> int | Fraction:
-        """det(B / d) = det(B) / d^n, with det(B) by Bareiss."""
+        """det(B / d) = det(B) / d^n, with det(B) by Bareiss on the
+        cleared rows."""
         b, d = self._cleared()
-        return _ratio(bareiss_determinant(IntMatrix(b, ncols=self.n)), d**self.n)
+        return _ratio(_bareiss(b), d**self.n)
 
     def inverse(self) -> "QMat":
         """Fraction free Gauss-Jordan on the integer [B | I], B = d * self.

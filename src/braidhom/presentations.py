@@ -315,7 +315,7 @@ def product_presentation(*factors: Presentation) -> Presentation:
 # before anything is built: the artin_pure:n derivation grows steeply with
 # n (about a second at n=12, four at n=15), free:k takes memory linear in k,
 # surface:g gives every command 2g generators to work on (its relator is
-# built in linear time; `tangent --genus 2000` takes about 0.6 s), and a
+# built in linear time; `tangent --genus 2000` takes about 0.5 s), and a
 # product has one cross commutator per pair of generators from different
 # factors.
 _CATALOG_MAX_STRANDS = 12
@@ -655,7 +655,13 @@ class CharacterTuple:
         return self.components[i].is_trivial
 
     def pair_product_trivial(self, i: int, j: int) -> bool:
-        return (self.components[i] * self.components[j]).is_trivial
+        # the components share one order, so the product is trivial
+        # exactly when every pair of exponents sums to 0 mod that order
+        n = self.order
+        return not any(
+            (a + b) % n
+            for a, b in zip(self.components[i].exponents, self.components[j].exponents)
+        )
 
     def inverse(self) -> "CharacterTuple":
         return CharacterTuple(c.inverse() for c in self.components)
@@ -727,10 +733,13 @@ class MatrixRep:
     (any nonzero determinant).  Word evaluation multiplies images left to
     right on plain row lists; inverses are cached.  ``inverses``, when
     the caller already holds them, lists the inverse images in generator
-    order; each is checked by one product against the identity.
+    order; each is checked by one product against the identity.  A
+    representation never changes after construction, so
+    :func:`validate_matrix_rep` records the relators it has verified
+    and does not evaluate them again.
     """
 
-    __slots__ = ("alphabet", "images", "flavor", "dim", "_inverses")
+    __slots__ = ("alphabet", "images", "flavor", "dim", "_inverses", "_verified")
 
     def __init__(
         self,
@@ -767,6 +776,7 @@ class MatrixRep:
         self.images = tuple(mats)
         self.flavor = flavor
         self.dim = d
+        self._verified: tuple[Word, ...] | None = None
         self._inverses: dict[int, QMat] = {}
         if inverses is not None:
             inverses = list(inverses)
@@ -791,11 +801,16 @@ class MatrixRep:
             self._inverses[i] = self.images[i].inverse()
         return self._inverses[i]
 
+    def columns(self, gen: int, sign: int) -> list:
+        """The columns of the image of the generator (``sign`` 1) or of
+        its inverse (``sign`` -1), ready for :func:`exactlin._times`."""
+        m = self.images[gen] if sign == 1 else self.inverse_image(gen)
+        return list(zip(*m.rows))
+
     def word_value(self, w: Word) -> QMat:
         out = QMat.identity(self.dim).rows
         for g, s in w.letters:
-            m = self.images[g] if s == 1 else self.inverse_image(g)
-            out = _times(out, list(zip(*m.rows)))
+            out = _times(out, self.columns(g, s))
         return QMat.from_exact(out)
 
     def adjoint_rep(self) -> "AdjointRep":
@@ -809,8 +824,8 @@ class MatrixRep:
         )
 
 
-def _adjoint(a: QMat, ainv: QMat) -> QMat:
-    """Ad(a) on trace zero d x d matrices, in closed form.
+def _adjoint_columns(a: QMat, ainv: QMat) -> list[list]:
+    """The columns of Ad(a) on trace zero d x d matrices, in closed form.
 
     The basis is H_1 .. H_(d-1), H_i = E_ii - E_(i+1)(i+1), then E_ij
     for i != j in row-major order; the coordinates of a trace zero
@@ -846,7 +861,12 @@ def _adjoint(a: QMat, ainv: QMat) -> QMat:
         if trace:
             raise ValueError("matrix has nonzero trace")
         cols.append(col)
-    return QMat.from_exact(zip(*cols))
+    return cols
+
+
+def _adjoint(a: QMat, ainv: QMat) -> QMat:
+    """Ad(a) as a matrix: the columns of :func:`_adjoint_columns`."""
+    return QMat.from_exact(zip(*_adjoint_columns(a, ainv)))
 
 
 class AdjointRep:
@@ -856,8 +876,9 @@ class AdjointRep:
     rational representation; its cohomology computes tangent spaces of
     character varieties at the underlying point.  The images of a
     generator and of its inverse are read off the entries of the
-    underlying image and its cached inverse (see :func:`_adjoint`); no
-    word is evaluated for either.
+    underlying image and its cached inverse (see :func:`_adjoint_columns`);
+    no word is evaluated for either, and ``columns`` hands the Fox scan
+    the columns it reads without building a matrix.
     """
 
     __slots__ = ("rep", "dim")
@@ -880,14 +901,27 @@ class AdjointRep:
     def inverse_image(self, gen: int | str) -> QMat:
         return _adjoint(self.rep.inverse_image(gen), self.rep.image(gen))
 
+    def columns(self, gen: int, sign: int) -> list:
+        """The columns of the image of the generator (``sign`` 1) or of
+        its inverse (``sign`` -1)."""
+        a, ainv = self.rep.images[gen], self.rep.inverse_image(gen)
+        return _adjoint_columns(a, ainv) if sign == 1 else _adjoint_columns(ainv, a)
+
 
 def validate_matrix_rep(p: Presentation, rep) -> CharacterCheck:
-    """Check that every relator maps to the identity matrix."""
+    """Check that every relator maps to the identity matrix.  A
+    MatrixRep that passed keeps the relators it passed on, and a later
+    check against the same relators returns at once."""
     if rep.alphabet != p.alphabet:
         raise InputError("representation alphabet does not match the presentation")
+    memo = isinstance(rep, MatrixRep)
+    if memo and rep._verified == p.relators:
+        return CharacterCheck(True)
     for r in p.relators:
         if not rep.word_value(r).is_identity():
             return CharacterCheck(False, r)
+    if memo:
+        rep._verified = p.relators
     return CharacterCheck(True)
 
 

@@ -115,9 +115,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
 
-    def exponent_sum(self, gen: int) -> int:
-        return sum(s for g, s in self.letters if g == gen)
-
 
 def free_reduce(letters: Sequence[Letter], alphabet: Alphabet | None = None) -> Word:
     """Freely reduce a raw letter sequence into a :class:`Word`.
@@ -157,7 +154,3 @@ def _reduce_concat(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> Word:
 
 def generator_word(index: int, sign: int = 1) -> Word:
     return Word(((index, sign),))
-
-
-def commutator(u: Word, v: Word) -> Word:
-    return u * v * u.inverse() * v.inverse()

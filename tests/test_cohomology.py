@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidhom import cohomology, cyclotomic
+from braidhom import cli, cohomology, cyclotomic
 from braidhom.cohomology import (
     CharVarDims,
     CohomologyProfile,
@@ -44,6 +44,7 @@ from braidhom.presentations import (
 )
 from braidhom.verify import _p2_torus_character, _tangent_by_elimination
 from braidhom.words import free_reduce, generator_word
+from wordtools import exponent_sum
 
 CATALOG_IDS = [
     "surface:1",
@@ -95,11 +96,11 @@ class TestAbelianization:
     @given(st.integers(1, 5), st.data())
     def test_one_pass_matches_exponent_sums(self, k, data):
         # the relator exponent matrix filled letter by letter equals the
-        # per-generator scan with Word.exponent_sum
+        # per-generator scan with exponent_sum
         letter = st.tuples(st.integers(0, k - 1), st.sampled_from((1, -1)))
         words = [free_reduce(w) for w in data.draw(st.lists(st.lists(letter, max_size=10), max_size=5))]
         p = Presentation(free_presentation(k).alphabet, [w for w in words if not w.is_identity])
-        rows = [[r.exponent_sum(i) for r in p.relators] for i in range(k)]
+        rows = [[exponent_sum(r, i) for r in p.relators] for i in range(k)]
         assert abelianization(p) == cokernel_profile(IntMatrix(rows, ncols=p.num_relators))
 
 
@@ -385,6 +386,22 @@ class TestTangent:
             assert ad.word_value(w.inverse()) * ad.word_value(w) == one
 
 
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_tangent_cli_evaluates_the_relator_once(self, g, monkeypatch, capsys):
+        # the sampler's check and tangent_dim_at's share one evaluation
+        evaluated = []
+        value = MatrixRep.word_value
+
+        def spy(self, w):
+            evaluated.append(w)
+            return value(self, w)
+
+        monkeypatch.setattr(MatrixRep, "word_value", spy)
+        assert cli.main(["tangent", "--genus", str(g), "--seed", "5"]) == 0
+        assert evaluated == list(surface_presentation(g).relators)
+        assert '"h1": %d' % (6 * (g - 1)) in capsys.readouterr().out
+
+
 def _q_rank(rows, ncols):
     return rank_kernel(rows, ncols, Fraction(1))[0] if rows else 0
 
@@ -414,6 +431,65 @@ def _diagonal_rep(p, rng):
     diag = [QMat([[Fraction(rng.choice((-3, -2, 2, 5)), rng.choice((1, 3, 4))), 0], [0, rng.choice((1, 7))]])
             for _ in range(p.num_generators)]
     return MatrixRep(p.alphabet, diag, flavor="GL")
+
+
+def _h0_by_elimination(rep, k):
+    # rank of the kd x d stack of the rep(g) - I, by Gauss-Jordan over Q
+    ident = QMat.identity(rep.dim)
+    moves = [row for g in range(k) for row in (rep.image(g) - ident).rows]
+    return rep.dim - _q_rank(moves, rep.dim)
+
+
+class TestTransposedH0:
+    """h0 ranks the d x kd transpose of the stacked rep(g) - I, read off
+    the columns the Fox scan uses; the untransposed stack is the oracle."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_gl_diagonal_reps(self, d):
+        rng = seeded_rng(900 + d)
+        values = (1, 1, 1, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2))
+        positive = 0
+        for k in (1, 2, 3):
+            p = free_presentation(k)
+            for _ in range(8):
+                images = []
+                for _ in range(k):
+                    rows = [[0] * d for _ in range(d)]
+                    for i in range(d):
+                        rows[i][i] = rng.choice(values)
+                    images.append(QMat(rows))
+                rep = MatrixRep(p.alphabet, images, flavor="GL")
+                h0 = h0_dim(p, rep)
+                assert h0 == _h0_by_elimination(rep, k)
+                positive += h0 > 0
+                if d > 1:
+                    ad = rep.adjoint_rep()
+                    # the diagonal torus fixes the d - 1 diagonal directions
+                    assert h0_dim(p, ad) == _h0_by_elimination(ad, k) >= d - 1
+        assert positive >= 4
+
+    def test_reps_with_fraction_entries(self):
+        # diagonal reps conjugated by a rational matrix, so that most
+        # images hold Fractions off the diagonal; h0 keeps its value
+        rng = seeded_rng(907)
+        fractions_seen = 0
+        for d in (2, 3):
+            c = QMat([[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) + (i == j) * 3
+                       for j in range(d)] for i in range(d)])
+            cinv = c.inverse()
+            for k in (1, 2, 3):
+                p = free_presentation(k)
+                for _ in range(6):
+                    images = []
+                    for _ in range(k):
+                        diag = QMat([[rng.choice((1, 1, 2, Fraction(1, 2))) if i == j else 0
+                                      for j in range(d)] for i in range(d)])
+                        images.append(c * diag * cinv)
+                    rep = MatrixRep(p.alphabet, images, flavor="GL")
+                    fractions_seen += any(type(e) is Fraction for m in images for r in m.rows for e in r)
+                    for phi in (rep, rep.adjoint_rep()):
+                        assert h0_dim(p, phi) == _h0_by_elimination(phi, k)
+        assert fractions_seen >= 20
 
 
 class TestRationalRank:
@@ -530,6 +606,32 @@ class TestSamplers:
             m, minv = cohomology._random_sl2(rng, spread)
             assert m * minv == one and minv * m == one
 
+    @pytest.mark.parametrize("spread", [1, 3, 10**30])
+    def test_adjugate_inverses_match_inversion(self, spread):
+        rng = seeded_rng(spread + 17)
+        for _ in range(50):
+            m, minv = cohomology._random_sl2(rng, spread)
+            assert minv == m.inverse() == cohomology._adjugate(m)
+        for g in (1, 2, 3, 4):
+            rho = random_surface_sl2(g, rng, spread=spread)
+            for j in range(2 * g):
+                assert rho.inverse_image(j) == rho.image(j).inverse()
+
+    def test_matrix_rep_rejects_a_wrong_adjugate(self):
+        p = free_presentation(2)
+        m = QMat([[2, 1], [1, 1]])
+        good = cohomology._adjugate(m)
+        MatrixRep(p.alphabet, [m, m], inverses=[good, good])
+        with pytest.raises(InputError, match="not its inverse"):
+            MatrixRep(p.alphabet, [m, m], inverses=[good, m])
+        # det 2: the SL check refuses it, and under GL its adjugate is
+        # 2 m^-1, which the one product against I refuses
+        det2 = QMat([[2, 1], [0, 1]])
+        with pytest.raises(InputError, match="determinant"):
+            MatrixRep(p.alphabet, [m, det2], inverses=[good, cohomology._adjugate(det2)])
+        with pytest.raises(InputError, match="not its inverse"):
+            MatrixRep(p.alphabet, [m, det2], flavor="GL", inverses=[good, cohomology._adjugate(det2)])
+
     @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
     def test_tangent_takes_no_inverse(self, g, monkeypatch):
         # the sampler builds every inverse image by construction and
@@ -552,8 +654,8 @@ class TestSamplers:
         rng = seeded_rng(spread)
         seen = set()
         for _ in range(400):
-            m = cohomology._elementary(rng, spread, lower=False)
-            seen.add(m.rows[0][1])
+            rows = cohomology._elementary(rng, spread, lower=False)
+            seen.add(rows[0][1])
         assert seen == set(range(-spread, spread + 1)) - {0}
 
     def test_surface_sampler_rejects_genus_zero(self):

@@ -2,6 +2,7 @@
 format, and the representation objects."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidhom import presentations
+from braidhom.cohomology import random_surface_sl2, seeded_rng, tangent_dim_at
 from braidhom.errors import (
     AlphabetMismatchError,
     InputError,
     OutOfRangeError,
+    PreconditionError,
     PresentationParseError,
 )
 from braidhom.exactlin import IntMatrix, QMat, cokernel_profile
@@ -38,14 +41,15 @@ from braidhom.presentations import (
     validate_matrix_rep,
 )
 from braidhom.verify import _adjoint_by_conjugation, _traceless_basis, _traceless_coords
-from braidhom.words import Word, commutator, free_reduce, generator_word
+from braidhom.words import Word, free_reduce, generator_word
+from wordtools import commutator, exponent_sum
 
 
 def abelianization_oracle(p: Presentation):
     """First homology via the relator exponent matrix, independent of any
     cohomology machinery: generators index rows, relators index columns."""
     k = p.num_generators
-    rows = [[r.exponent_sum(i) for r in p.relators] for i in range(k)]
+    rows = [[exponent_sum(r, i) for r in p.relators] for i in range(k)]
     return cokernel_profile(IntMatrix(rows, ncols=p.num_relators))
 
 
@@ -289,7 +293,7 @@ class TestArtinPureBraid:
         p = artin_pure_presentation(n)
         for rel in p.relators:
             for g in range(p.num_generators):
-                assert rel.exponent_sum(g) == 0
+                assert exponent_sum(rel, g) == 0
 
     def test_full_twist_is_central_in_p3(self):
         pairs = _pair_list(3)
@@ -419,7 +423,7 @@ class TestShippedTorusData:
         assert profile.torsion == ()
         for rel in p.relators:
             for g in range(4):
-                assert rel.exponent_sum(g) == 0
+                assert exponent_sum(rel, g) == 0
 
 
 class TestCharacter:
@@ -542,6 +546,28 @@ class TestCharacterTuple:
         assert not t.pair_product_trivial(0, 2)
         assert not t.is_trivial
 
+    def test_pair_product_trivial_matches_the_product(self):
+        # components drawn at mixed orders, so the tuple rescales them;
+        # about half the tuples plant an inverse pair
+        alphabet = surface_presentation(2).alphabet
+        rng = random.Random(18)
+        trivial = 0
+        for _ in range(300):
+            chis = []
+            for _ in range(rng.randint(2, 4)):
+                order = rng.choice((1, 2, 3, 4, 6, 12))
+                chis.append(Character(alphabet, order, [rng.randrange(order) for _ in range(4)]))
+            if rng.random() < 0.5:
+                chis[-1] = rng.choice(chis[:-1]).inverse()
+            t = CharacterTuple(chis)
+            for i in range(len(chis)):
+                for j in range(len(chis)):
+                    product = (t.component(i) * t.component(j)).is_trivial
+                    assert t.pair_product_trivial(i, j) == product
+                    assert product == (chis[i] * chis[j]).is_trivial
+                    trivial += product
+        assert trivial >= 100
+
     def test_alphabet_mismatch_rejected(self):
         with pytest.raises(InputError):
             CharacterTuple(
@@ -629,6 +655,36 @@ class TestMatrixRep:
         diag = QMat([[Fraction(2), 0], [0, Fraction(1, 2)]])
         diag2 = QMat([[Fraction(3), 0], [0, Fraction(1, 3)]])
         assert validate_matrix_rep(p, MatrixRep(p.alphabet, [diag, diag2]))
+
+    def test_verified_relators_cover_only_themselves(self, monkeypatch):
+        # a rep that passed on surface:2 is checked in full against a
+        # presentation with the same alphabet and another relator
+        p = surface_presentation(2)
+        rho = random_surface_sl2(2, seeded_rng(3), presentation=p)
+        evaluated = []
+        value = MatrixRep.word_value
+
+        def spy(self, w):
+            evaluated.append(w)
+            return value(self, w)
+
+        monkeypatch.setattr(MatrixRep, "word_value", spy)
+        assert validate_matrix_rep(p, rho)
+        assert validate_matrix_rep(surface_presentation(2), rho)
+        assert evaluated == []
+        handle = p.alphabet.parse_word("a1 b1 a1^-1 b1^-1")
+        other = Presentation(p.alphabet, [handle])
+        check = validate_matrix_rep(other, rho)
+        assert not check and check.failing_relator == handle
+        assert evaluated == [handle]
+        with pytest.raises(PreconditionError):
+            tangent_dim_at(other, rho)
+        # the inverse relator holds, but it is still evaluated
+        inverse = Presentation(p.alphabet, [p.relators[0].inverse()])
+        assert validate_matrix_rep(inverse, rho)
+        assert evaluated[-1] == p.relators[0].inverse()
+        assert validate_matrix_rep(p, rho)
+        assert len(evaluated) == 4
 
     def test_adjoint_dimension_and_identity(self):
         p = free_presentation(2)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from braidhom.cohomology import fox_jacobian
 from braidhom.errors import AlphabetMismatchError, PresentationParseError
 from braidhom.presentations import Character, Presentation
-from braidhom.words import Alphabet, Word, commutator, free_reduce, generator_word
+from braidhom.words import Alphabet, Word, free_reduce, generator_word
+from wordtools import commutator, exponent_sum
 
 AB = Alphabet(["x", "y"])
 X = generator_word(0)
@@ -183,5 +184,5 @@ class TestFoxDerivative:
         w = free_reduce(raw)
         row = fox_row(w, Character(SIX, 1))
         for j in range(6):
-            s = w.exponent_sum(j)
+            s = exponent_sum(w, j)
             assert row[j] == ({0: s} if s else {})
