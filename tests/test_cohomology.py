@@ -385,7 +385,6 @@ class TestTangent:
             w = free_reduce([(rng.randrange(2 * g), rng.choice((1, -1))) for _ in range(8)])
             assert ad.word_value(w.inverse()) * ad.word_value(w) == one
 
-
     @pytest.mark.parametrize("g", [2, 3])
     def test_tangent_cli_evaluates_the_relator_once(self, g, monkeypatch, capsys):
         # the sampler's check and tangent_dim_at's share one evaluation
