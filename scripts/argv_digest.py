@@ -11,6 +11,11 @@ hashing, so two checkouts that answer alike print the same lines:
 
     python3 scripts/argv_digest.py            # seed 1
     python3 scripts/argv_digest.py --seed 7
+
+Then every distinct argv runs a second time, in reverse order and with
+the caches the first pass left warm.  State kept across calls must not
+change an answer: if one differs, the first such argv in plan order is
+named on stderr and the exit status is 1.
 """
 
 import argparse
@@ -56,16 +61,25 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def record(argv, workdir):
+    """One argv's answer as the line that is hashed."""
+    code, out, err = run(argv)
+    return json.dumps([argv, code, out, err]).replace(workdir, WORKDIR)
+
+
 def digest(name, seed):
+    """Argv count, sha256 and the first argv, in plan order, whose answer
+    differs on the warm rerun in reverse order (None when none does)."""
     with tempfile.TemporaryDirectory() as workdir:
         argvs = plan_argvs(name, seed, workdir)
-        h = hashlib.sha256()
-        for argv in argvs:
-            code, out, err = run(argv)
-            record = json.dumps([argv, code, out, err])
-            h.update(record.replace(workdir, WORKDIR).encode("utf-8"))
-            h.update(b"\n")
-    return len(argvs), h.hexdigest()
+        first = [record(argv, workdir) for argv in argvs]
+        warm = [record(argv, workdir) for argv in reversed(argvs)][::-1]
+    h = hashlib.sha256()
+    for line in first:
+        h.update(line.encode("utf-8"))
+        h.update(b"\n")
+    changed = next((a for a, x, y in zip(argvs, first, warm) if x != y), None)
+    return len(argvs), h.hexdigest(), changed
 
 
 def main():
@@ -73,12 +87,19 @@ def main():
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     total = 0
+    changed = []
     for name in ("jumploci", "fragments", "fields"):
-        count, hexdigest = digest(name, args.seed)
+        count, hexdigest, argv = digest(name, args.seed)
         total += count
         print("%-9s seed %d  %5d argvs  sha256 %s" % (name, args.seed, count, hexdigest))
+        if argv is not None:
+            changed.append((name, argv))
     print("total %d distinct argvs" % total)
+    for name, argv in changed:
+        print("%s: the warm rerun changed the answer to %s" % (name, " ".join(argv)),
+              file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

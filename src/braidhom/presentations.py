@@ -469,7 +469,7 @@ class Character:
     and evaluated on integers.
     """
 
-    __slots__ = ("alphabet", "order", "exponents")
+    __slots__ = ("alphabet", "order", "exponents", "_hash")
 
     def __init__(
         self,
@@ -552,7 +552,13 @@ class Character:
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, self.order, self.exponents))
+        # a character never changes after construction, so its hash is
+        # taken once, on first use
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.alphabet, self.order, self.exponents))
+            return self._hash
 
     def __repr__(self) -> str:
         vals = ", ".join(

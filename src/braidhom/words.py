@@ -15,6 +15,7 @@ where words enter the system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import AlphabetMismatchError, PresentationParseError
@@ -26,7 +27,7 @@ Letter = tuple[int, int]
 class Alphabet:
     """An ordered tuple of distinct, nonempty generator names."""
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_tokens")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -38,6 +39,7 @@ class Alphabet:
             raise ValueError("generator names must be distinct")
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
+        self._tokens: dict[str, Letter] | None = None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -70,8 +72,27 @@ class Alphabet:
     def parse_word(self, text: str, line: int | None = None) -> "Word":
         """Parse whitespace separated tokens ``name`` or ``name^-1``.
 
-        No other exponent syntax is accepted.
+        No other exponent syntax is accepted.  Each token is one lookup in
+        a table of the accepted tokens, built on first use; text with a
+        token the table lacks goes through :meth:`_parse_tokens`, which
+        names the first bad token.
         """
+        tokens = self._tokens
+        if tokens is None:
+            tokens = self._tokens = {}
+            for i, name in enumerate(self.names):
+                tokens[name] = (i, 1)
+                tokens[name + "^-1"] = (i, -1)
+        try:
+            letters = [tokens[tok] for tok in text.split()]
+        except KeyError:
+            letters = self._parse_tokens(text, line)
+        k = _first_cancellation(letters)
+        return _push_reduced(letters[:k], islice(letters, k, None))
+
+    def _parse_tokens(self, text: str, line: int | None) -> list[Letter]:
+        """The token-by-token parse, raising on the first token that is
+        not ``name`` or ``name^-1``."""
         letters = []
         for tok in text.split():
             name, sign = tok, 1
@@ -86,7 +107,7 @@ class Alphabet:
             if name not in self._index:
                 raise PresentationParseError("unknown generator %r" % name, line)
             letters.append((self._index[name], sign))
-        return free_reduce(letters)
+        return letters
 
     def format_word(self, word: "Word") -> str:
         self.check_word(word)
@@ -119,12 +140,11 @@ class Word:
 def free_reduce(letters: Sequence[Letter], alphabet: Alphabet | None = None) -> Word:
     """Freely reduce a raw letter sequence into a :class:`Word`.
 
-    Cancellation is done with a stack in one pass, so the result carries
-    no ``x x^-1`` pairs.  When ``alphabet`` is given, letter indices are
-    validated against it.
+    Every letter is validated first; cancellation is then done with a
+    stack in one pass, so the result carries no ``x x^-1`` pairs.  When
+    ``alphabet`` is given, letter indices are validated against it.
     """
     k = len(alphabet) if alphabet is not None else None
-    stack: list[Letter] = []
     for g, s in letters:
         if s not in (1, -1):
             raise ValueError("letter sign must be +1 or -1, got %r" % (s,))
@@ -134,6 +154,24 @@ def free_reduce(letters: Sequence[Letter], alphabet: Alphabet | None = None) -> 
             raise AlphabetMismatchError(
                 "letter index %d outside alphabet of size %d" % (g, k)
             )
+    return _push_reduced([], letters)
+
+
+def _first_cancellation(letters: Sequence[Letter]) -> int:
+    """Index of the first letter that its successor cancels, or
+    ``len(letters)`` when no two neighbours cancel."""
+    pg, ps = -1, 0
+    for k, (g, s) in enumerate(letters):
+        if g == pg and s != ps:
+            return k - 1
+        pg, ps = g, s
+    return len(letters)
+
+
+def _push_reduced(stack: list[Letter], letters: Iterable[Letter]) -> Word:
+    """Push valid ``letters`` onto the reduced ``stack``, cancelling as
+    they come, and return the result as a :class:`Word`."""
+    for g, s in letters:
         if stack and stack[-1][0] == g and stack[-1][1] == -s:
             stack.pop()
         else:

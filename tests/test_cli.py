@@ -2,8 +2,9 @@
 character file loading, fragment and jump locus reports, the verify
 selection and failure exit, catalog limits, malformed and unreadable
 file diagnostics, reuse of one parser across calls, dispatch straight
-to the subcommand's parser, and sha256 digests of the default stdout of
-every subcommand."""
+to the subcommand's parser, sha256 digests of the default stdout of
+every subcommand, and answers that state kept across calls leaves
+unchanged."""
 
 import argparse
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 
 from braidhom import cli as cli_module
 from braidhom import cohomology as cohomology_module
+from braidhom import leray as leray_module
 from braidhom import presentations as presentations_module
 from braidhom import verify as verify_module
 from braidhom.cli import build_parser, main
@@ -778,3 +780,42 @@ def test_known_command_parsed_once_by_its_subparser(fresh_parser, monkeypatch, c
     code, _, _ = run_cli(["b1", "--space", "sphere", "--n", "4"], capsys)
     assert code == 0
     assert calls == ["braidhom b1"]
+
+
+# ---------------------------------------------------------------------------
+# state kept across calls cannot change an answer
+
+
+def _jump_locus_argvs(tmp_path):
+    """About 40 seeded twisted and membership argvs over genus:1, genus:2
+    and c-star.  Orders up to 4 make components recur across argvs, and
+    two files past the order limit check that a failure is not kept."""
+    rng = cohomology_module.seeded_rng(5150)
+    argvs = []
+    for k in range(38):
+        space = ("genus:1", "genus:2", "c-star")[k % 3]
+        n = 2 + (k // 3) % 3
+        factor = leray_module.factor_presentation(presentations_module.SpaceSpec.parse(space))
+        rho = cohomology_module.random_character_tuple(
+            factor.alphabet, n, rng, max_order=4, pair_bias=0.35
+        )
+        path = write_json(tmp_path / ("rho-%d.json" % k), rho.to_json())
+        command = ("twisted", "membership")[k % 2]
+        argvs.append([command, "--space", space, "--n", str(n), "--char", path])
+    past = {"N": 10**6 + 3, "values": {"a1": 1, "b1": 0, "a2": 0, "b2": 0}}
+    for k in range(2):
+        path = write_json(tmp_path / ("past-%d.json" % k), {"components": [past, TRIVIAL_GENUS2]})
+        argvs.append(["twisted", "--space", "genus:2", "--n", "2", "--char", path])
+    return argvs
+
+
+def test_warm_answers_match_cold(tmp_path, capsys):
+    argvs = _jump_locus_argvs(tmp_path)
+    cold = {}
+    for argv in argvs:
+        leray_module._factor_h1.cache_clear()
+        cold[tuple(argv)] = run_cli(argv, capsys)
+    assert {code for code, _, _ in cold.values()} == {0, 2}
+    for argv in reversed(argvs):
+        assert run_cli(argv, capsys) == cold[tuple(argv)], argv
+    assert leray_module._factor_h1.cache_info().hits > 0

@@ -7,14 +7,19 @@ import math
 import pytest
 
 from braidhom.anchors import anchor_text
-from braidhom.cohomology import random_character, random_character_tuple, seeded_rng
+from braidhom.cohomology import (
+    h1_dim,
+    random_character,
+    random_character_tuple,
+    seeded_rng,
+)
 from braidhom.errors import (
     AlphabetMismatchError,
     InputError,
     OutOfRangeError,
     OutOfScopeError,
 )
-from braidhom import exactlin
+from braidhom import exactlin, leray
 from braidhom.exactlin import (
     IntMatrix,
     bareiss_determinant,
@@ -470,7 +475,6 @@ class TestMembership:
         assert (m.member, m.components, m.h1) == (False, (), 0)
 
     def test_one_factor_build_one_h1_per_distinct_component(self, monkeypatch):
-        import braidhom.leray as leray
         import braidhom.presentations as presentations
 
         builds, chars = [], []
@@ -480,6 +484,7 @@ class TestMembership:
         )
         monkeypatch.setattr(leray, "h1_dim", lambda p, chi: chars.append(chi) or h1(p, chi))
         leray.factor_presentation.cache_clear()
+        leray._factor_h1.cache_clear()
         sigma = nontrivial(G2_AB, 3, a1=1)
         one = Character(G2_AB, 1)
         rho = CharacterTuple([one, sigma, one, one])
@@ -505,6 +510,65 @@ class TestMembership:
             rho = random_character_tuple(ab, n, rng, max_order=8, pair_bias=0.35)
             m = sigma1_membership(space, n, rho)
             assert m.member == (m.h1 > 0) == bool(m.components)
+
+
+class TestFactorH1Memo:
+    """``leray._factor_h1``, the support rule's memo of factor h1 across
+    calls, keyed by space and character."""
+
+    @pytest.mark.parametrize(
+        "space", [GENUS1, GENUS2, CSTAR], ids=["genus:1", "genus:2", "c-star"]
+    )
+    def test_matches_fresh_h1(self, space):
+        factor = factor_presentation(space)
+        rng = seeded_rng(2000 + (space.genus or 0))
+        for _ in range(30):
+            rho = random_character_tuple(factor.alphabet, 3, rng, max_order=9, pair_bias=0.35)
+            for chi in rho.components:
+                assert leray._factor_h1(space, chi) == h1_dim(factor, chi)
+
+    def test_second_call_computes_no_h1(self, monkeypatch):
+        rng = seeded_rng(2100)
+        sigma = random_character(G2_AB, rng, nontrivial=True)
+        rho = CharacterTuple([sigma, Character(G2_AB, 1), sigma.inverse()])
+        calls = []
+        h1 = leray.h1_dim
+        monkeypatch.setattr(leray, "h1_dim", lambda p, chi: calls.append(chi) or h1(p, chi))
+        leray._factor_h1.cache_clear()
+        first = sigma1_membership(GENUS2, 3, rho)
+        assert calls
+        del calls[:]
+        assert sigma1_membership(GENUS2, 3, rho) == first
+        assert h1_twisted_pure_braid(GENUS2, 3, rho) == first.h1
+        assert calls == []
+
+    def test_equal_characters_share_an_entry(self):
+        a = Character(G2_AB, 6, [1, 2, 3, 4])
+        b = Character(G2_AB, 6, [7, -4, 9, 4])
+        assert a is not b and a == b and hash(a) == hash(b)
+        leray._factor_h1.cache_clear()
+        assert leray._factor_h1(GENUS2, a) == leray._factor_h1(GENUS2, b)
+        info = leray._factor_h1.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "chi, error",
+        [
+            (Character(G2_AB, 10**6 + 3, [1, 0, 0, 0]), OutOfRangeError),
+            (Character(TORUS_AB, 3, [1, 0]), InputError),
+        ],
+        ids=["order-past-limit", "wrong-alphabet"],
+    )
+    def test_failure_raises_on_every_call(self, chi, error):
+        leray._factor_h1.cache_clear()
+        for _ in range(2):
+            with pytest.raises(error):
+                leray._factor_h1(GENUS2, chi)
+        assert leray._factor_h1.cache_info().currsize == 0
+
+    def test_bounded(self):
+        maxsize = leray._factor_h1.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 4096
 
 
 def _pair_witnesses(n, k):

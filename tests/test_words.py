@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from braidhom.cohomology import fox_jacobian
 from braidhom.errors import AlphabetMismatchError, PresentationParseError
 from braidhom.presentations import Character, Presentation
+from braidhom.cohomology import seeded_rng
 from braidhom.words import Alphabet, Word, free_reduce, generator_word
-from wordtools import commutator, exponent_sum
+from wordtools import commutator, exponent_sum, parse_word
 
 AB = Alphabet(["x", "y"])
 X = generator_word(0)
@@ -88,6 +89,66 @@ class TestAlphabet:
         for bad in ("x^2", "x^1", "x^-2", "x^"):
             with pytest.raises(PresentationParseError):
                 AB.parse_word(bad)
+
+
+def _outcome(parse, text, line):
+    """The parsed word, or the exception's type, message and line."""
+    try:
+        return parse(text, line)
+    except PresentationParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
+# tokens the table accepts, and tokens it lacks that the reference loop
+# must diagnose: unknown names, other exponents, a bare ^-1
+GOOD_TOKENS = ["x", "x^-1", "y", "y^-1", "zz", "zz^-1"]
+BAD_TOKENS = ["w", "x^2", "x^-1^-1", "^-1", "x^", "X", "y^+1"]
+
+
+class TestParseAgainstReference:
+    ZZ = Alphabet(["x", "y", "zz"])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "   ",
+            "x x^-1 y",
+            "x y y^-1 zz",
+            "x y zz^-1 zz",
+            "x x^-1 x^-1 x y",
+            "zz y^-1 y zz^-1 x",
+            "x^2",
+            "x^-1^-1",
+            "^-1",
+            "x y w",
+            "x\ty\n zz^-1",
+        ],
+    )
+    def test_fixed_texts(self, text):
+        for line in (None, 7):
+            assert _outcome(self.ZZ.parse_word, text, line) == _outcome(
+                lambda t, ln: parse_word(self.ZZ, t, ln), text, line
+            )
+
+    def test_seeded_texts(self):
+        rng = seeded_rng(4401)
+        for trial in range(600):
+            length = rng.randint(0, 14)
+            toks = [rng.choice(GOOD_TOKENS) for _ in range(length)]
+            if length and rng.random() < 0.6:
+                # plant a cancelling pair at the start, middle or end
+                k = rng.choice((0, length // 2, length))
+                tok = rng.choice(GOOD_TOKENS)
+                partner = tok[:-3] if tok.endswith("^-1") else tok + "^-1"
+                toks[k:k] = [tok, partner]
+            if rng.random() < 0.15:
+                toks.insert(rng.randint(0, len(toks)), rng.choice(BAD_TOKENS))
+            text = " ".join(toks)
+            line = rng.choice((None, trial + 1))
+            assert _outcome(self.ZZ.parse_word, text, line) == _outcome(
+                lambda t, ln: parse_word(self.ZZ, t, ln), text, line
+            ), text
 
 
 # Fox derivatives are tested in evaluated form, on the rows of the
