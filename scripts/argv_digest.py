@@ -6,24 +6,28 @@ Builds the ``jumploci``, ``fragments`` and ``fields`` plans of
 temporary directory, runs each distinct argv once through
 ``braidhom.cli.main`` in this process and prints, per workload, the
 argv count and one sha256 over (argv, exit code, stdout, stderr) in
-plan order.  The temporary path is replaced by a placeholder before
-hashing, so two checkouts that answer alike print the same lines:
+plan order.  Every ``functools.lru_cache`` in the ``braidhom`` modules
+is cleared before each argv, so the hashed answers are cold answers.
+The temporary path is replaced by a placeholder before hashing, so two
+checkouts that answer alike print the same lines:
 
     python3 scripts/argv_digest.py            # seed 1
     python3 scripts/argv_digest.py --seed 7
 
 Then every distinct argv runs a second time, in reverse order and with
 the caches the first pass left warm.  State kept across calls must not
-change an answer: if one differs, the first such argv in plan order is
-named on stderr and the exit status is 1.
+change an answer: if one differs from its cold answer, the first such
+argv in plan order is named on stderr and the exit status is 1.
 """
 
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import pathlib
+import pkgutil
 import sys
 import tempfile
 
@@ -33,9 +37,24 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
+import braidhom  # noqa: E402
 from braidhom import cli  # noqa: E402
 
 WORKDIR = "<workdir>"
+
+
+def process_caches():
+    """Every function with a ``cache_clear`` found in the ``braidhom``
+    modules, each once however many modules import it."""
+    found = {}
+    for info in pkgutil.iter_modules(braidhom.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module("braidhom." + info.name)
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                found[id(value)] = value
+    return list(found.values())
 
 
 def plan_argvs(name, seed, workdir):
@@ -61,18 +80,22 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def record(argv, workdir):
-    """One argv's answer as the line that is hashed."""
+def record(argv, workdir, caches=()):
+    """One argv's answer as the line that is hashed, after clearing
+    ``caches``."""
+    for cached in caches:
+        cached.cache_clear()
     code, out, err = run(argv)
     return json.dumps([argv, code, out, err]).replace(workdir, WORKDIR)
 
 
-def digest(name, seed):
-    """Argv count, sha256 and the first argv, in plan order, whose answer
-    differs on the warm rerun in reverse order (None when none does)."""
+def digest(name, seed, caches):
+    """Argv count, sha256 of the cold answers and the first argv, in plan
+    order, whose answer differs on the warm rerun in reverse order (None
+    when none does)."""
     with tempfile.TemporaryDirectory() as workdir:
         argvs = plan_argvs(name, seed, workdir)
-        first = [record(argv, workdir) for argv in argvs]
+        first = [record(argv, workdir, caches) for argv in argvs]
         warm = [record(argv, workdir) for argv in reversed(argvs)][::-1]
     h = hashlib.sha256()
     for line in first:
@@ -86,10 +109,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
+    caches = process_caches()
     total = 0
     changed = []
     for name in ("jumploci", "fragments", "fields"):
-        count, hexdigest, argv = digest(name, args.seed)
+        count, hexdigest, argv = digest(name, args.seed, caches)
         total += count
         print("%-9s seed %d  %5d argvs  sha256 %s" % (name, args.seed, count, hexdigest))
         if argv is not None:

@@ -29,6 +29,13 @@ ANCHORS: dict[str, str] = {
         "For the punctured plane with one puncture, the first homology of "
         "the pure braid group on n strands has rank n + n(n-1)/2."
     ),
+    "cstar-plane-iso": (
+        "Translating the last of n + 1 ordered points of the plane to the "
+        "origin identifies their configuration space with the plane times "
+        "the configuration space of n ordered points in the once punctured "
+        "plane, so the pure braid group of the once punctured plane on n "
+        "strands is the pure Artin braid group on n + 1 strands."
+    ),
     "twisted-h1-transfer": (
         "For genus g >= 2, restriction along the surjection to the n-fold "
         "surface group product identifies the twisted first cohomology of "
@@ -73,27 +80,6 @@ ANCHORS: dict[str, str] = {
         "For the once punctured plane, the part of the first jump locus "
         "lying in the pulled back character torus is the union over pairs "
         "i < j of the mutually inverse subtori, each of dimension n - 1."
-    ),
-    "sigma1-infinite": (
-        "The first jump locus of the pure braid group of the torus is an "
-        "infinite set."
-    ),
-    "surjection-genus-bound": (
-        "For genus g >= 2 there is no surjection from the pure braid group "
-        "onto a closed surface group of genus h unless h <= g, since the "
-        "pulled back character variety is a 2h dimensional subtorus of the "
-        "jump locus."
-    ),
-    "surjection-torus-bound": (
-        "For genus 1 and n >= 3 strands there is no surjection onto a "
-        "closed surface group of genus h unless h < n - 1, since at h = "
-        "n - 1 the pulled back character variety would coincide with a pair "
-        "subtorus and force the generic twisted dimension above 1."
-    ),
-    "surjection-cstar-conditional": (
-        "For the once punctured plane there is no surjection onto a closed "
-        "surface group of genus at least 2 whose pulled back character "
-        "variety contains a pair subtorus."
     ),
     "pullback-vanishing": (
         "For 2 <= m <= n the pullback of the top degree cohomology of the "
@@ -168,12 +154,6 @@ ANCHORS: dict[str, str] = {
         "On a compact Kahler manifold there is no untranslated torus "
         "component of the first jump locus of dimension 2 or of odd "
         "dimension, by Beauville's theorem."
-    ),
-    "beauville-fibration": (
-        "On a compact Kahler manifold an untranslated torus component of "
-        "the first jump locus of dimension 2g >= 4 is the character "
-        "pullback of a connected fibration onto a curve of genus g, by "
-        "Beauville's theorem."
     ),
     "finite-index-kahler": (
         "A subgroup of finite index in a Kahler group is Kahler, so the "

@@ -4,9 +4,8 @@ The entry point ``kahler_verdict`` maps (space, strand count, pure or
 full flavor) to a status plus an ordered trace of steps.  Every step
 cites one statement from the anchor table by exact text, and whenever a
 step quotes a numeric fact (a first Betti number, a jump locus component
-dimension, an excluded surjection) the witness value is recomputed
-through the spectral sequence module, so traces cannot drift from the
-calculators.
+dimension) the witness value is recomputed through the spectral sequence
+module, so traces cannot drift from the calculators.
 
 Rule ids used in traces:
 
@@ -17,8 +16,8 @@ Rule ids used in traces:
   R3  sphere with two or three strands: finite, hence Kahler
   R4  closed genus >= 2: fibration factoring pipeline
   R5  closed genus 1: jump locus plus Beauville
-  R6  punctured plane, n >= 3: jump locus, Beauville, conditional
-      surjection exclusion
+  R6  punctured plane, n >= 3: the plane pure braid group on one more
+      strand, then R1's ends obstruction
   R7  punctured plane, n = 2: odd first Betti number
   R8  full braid groups inherit NotKahler from the pure subgroup
   R9  real dimension >= 3: product and wreath structure
@@ -29,7 +28,7 @@ Excluded (the characteristic p analogue of NotKahler).
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .anchors import anchor_text
 from .cohomology import abelianization
@@ -46,12 +45,8 @@ __all__ = [
     "EXCLUDED",
     "TraceStep",
     "Verdict",
-    "Obstruction",
-    "BeauvilleOutcome",
     "WreathReport",
     "kahler_verdict",
-    "parity_obstruction",
-    "beauville_obstruction",
     "wreath_facts",
     "charp_verdict",
 ]
@@ -100,58 +95,6 @@ def _step(rule: str, key: str, text: str) -> TraceStep:
 
 def _note(rule: str, text: str) -> TraceStep:
     return TraceStep(rule=rule, anchor="", text=text)
-
-
-# ---------------------------------------------------------------------------
-# small obstruction helpers
-
-
-@dataclass(frozen=True)
-class Obstruction:
-    kind: str
-    detail: str
-    anchors: tuple[str, ...]
-
-
-def parity_obstruction(profile: AbelianProfile) -> Optional[Obstruction]:
-    """Odd free rank of first homology rules out a compact Kahler model."""
-    if profile.rank % 2 == 0:
-        return None
-    return Obstruction(
-        kind="odd-first-betti",
-        detail="first Betti number %d is odd" % profile.rank,
-        anchors=("betti-even",),
-    )
-
-
-@dataclass(frozen=True)
-class BeauvilleOutcome:
-    """What Beauville's theorem says about one untranslated torus
-    component of dimension 2 or odd dimension: no compact Kahler
-    manifold has such a component."""
-
-    kind: str
-    dimension: int
-    anchors: tuple[str, ...]
-
-
-def beauville_obstruction(dimensions: Sequence[int]) -> Optional[BeauvilleOutcome]:
-    """Scan the dimensions of the torus components of a jump locus
-    against Beauville's theorem.
-
-    Jump locus components of braid groups are subtori through the
-    origin, so every component is untranslated.  The first component of
-    dimension 2 or of odd dimension is an obstruction; None when there
-    is none.  Dimension 0 components carry no information.
-    """
-    for dim in dimensions:
-        if dim == 2 or dim % 2 == 1:
-            return BeauvilleOutcome(
-                kind="obstruction",
-                dimension=dim,
-                anchors=("beauville-untranslated",),
-            )
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +244,9 @@ def _case_genus_one(space: SpaceSpec, n: int) -> tuple[str, list[TraceStep], dic
     locus = sigma1_components(space, n)
     count = len(locus.components)
     dim = locus.components[0].dimension
-    outcome = beauville_obstruction([c.dimension for c in locus.components])
     # every computed pair component has the dimension of the torus's own
     # character torus, 2, so Beauville decides every strand count
-    assert outcome is not None and outcome.kind == "obstruction"
+    assert dim == 2
     steps = [
         _step(
             "R5",
@@ -331,10 +273,9 @@ def _case_genus_one(space: SpaceSpec, n: int) -> tuple[str, list[TraceStep], dic
 def _case_cstar(
     space: SpaceSpec, n: int, preface: str = ""
 ) -> tuple[str, list[TraceStep], dict]:
+    b1 = b1_pure_braid(space, n).free_rank
     if n == 2:
-        b1 = b1_pure_braid(space, 2).free_rank
-        obstruction = parity_obstruction(AbelianProfile(b1))
-        assert obstruction is not None
+        assert b1 % 2 == 1
         steps = [
             _step(
                 "R7",
@@ -350,44 +291,15 @@ def _case_cstar(
             ),
         ]
         return NOT_KAHLER, steps, {"b1": b1}
-    computed = sigma1_components(space, n).components[0].dimension
-    steps = [
-        _step(
-            "R6",
-            "sigma1-cstar",
-            preface + "the cited jump locus contains the subtorus of "
-            "tuples with trivial total character, of dimension %d; the "
-            "computed pair components have dimension %d" % (n - 1, computed),
-        ),
-        _step(
-            "R6",
-            "beauville-untranslated",
-            "a maximal untranslated torus component containing it can "
-            "have neither dimension 2 nor odd dimension, so it would "
-            "have even dimension at least 4",
-        ),
-        _step(
-            "R6",
-            "beauville-fibration",
-            "such a component would be the character pullback of a "
-            "fibration onto a curve of genus at least 2, giving a "
-            "surjection onto its fundamental group",
-        ),
-        _step(
-            "R6",
-            "surjection-cstar-conditional",
-            "no surjection whose character pullback contains the pair "
-            "subtorus exists, which is exactly the case produced here",
-        ),
-    ]
-    # the exclusion holds only for surjections whose pullback contains
-    # a pair subtorus, so the verdict rests on that condition
-    witnesses = {
-        "component_dim": n - 1,
-        "computed_component_dim": computed,
-        "conditional_exclusion": True,
-    }
-    return NOT_KAHLER, steps, witnesses
+    step = _step(
+        "R6",
+        "cstar-plane-iso",
+        preface + "the pure braid group on %d strands is the plane pure "
+        "braid group on %d strands, with first Betti number %d"
+        % (n, n + 1, b1),
+    )
+    status, steps, _ = _case_plane(n + 1)
+    return status, [step] + steps, {"b1": b1}
 
 
 def _case_higher(

@@ -515,8 +515,9 @@ def criterion_tangent(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_cstar(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """b1 = n + C(n,2) and twisted h1 against Fox calculus on the pulled
-    back character of the plane pure braid group on one more strand."""
+    """b1 = n + C(n,2), and b1 and twisted h1 against the plane pure braid
+    group on one more strand: its Smith form, and Fox calculus at the
+    pulled back character."""
     rng = seeded_rng(seed + 9)
     space = SpaceSpec.parse("c-star")
     alphabet = catalog("free:1").alphabet
@@ -526,6 +527,9 @@ def criterion_cstar(seed: int = DEFAULT_SEED) -> CriterionResult:
         expected = n + math.comb(n, 2)
         if rep.free_rank != expected or rep.torsion != ():
             failures.append((n, "b1", rep.free_rank, rep.torsion))
+        plane = abelianization(catalog("artin_pure:%d" % (n + 1)))
+        if plane.torsion or not plane.rank == rep.free_rank == math.comb(n + 1, 2):
+            failures.append((n, "b1 artin_pure", rep.free_rank, plane.rank, plane.torsion))
     unchecked = 0
     for i in range(200):
         n = 2 + (i % 3)
@@ -536,8 +540,10 @@ def criterion_cstar(seed: int = DEFAULT_SEED) -> CriterionResult:
         9,
         "cstar-suite",
         failures,
-        "b1 for n 2..6 and 200 seeded tuples against Fox calculus on "
-        "artin_pure:n+1; %d with no independent route" % unchecked,
+        "b1 for n 2..6 against the closed form n + C(n,2) and against "
+        "the abelianization of artin_pure:n+1, free of rank C(n+1,2); 200 "
+        "seeded tuples against Fox calculus on artin_pure:n+1; %d with no "
+        "independent route" % unchecked,
     )
 
 

@@ -19,7 +19,11 @@ from braidhom import cohomology as cohomology_module
 from braidhom import leray as leray_module
 from braidhom import presentations as presentations_module
 from braidhom import verify as verify_module
+from braidhom.anchors import ANCHORS
 from braidhom.cli import build_parser, main
+from braidhom.leray import pullback_vanishing
+from braidhom.presentations import SpaceSpec
+from braidhom.verdict import wreath_facts
 
 
 def run_cli(argv, capsys):
@@ -383,8 +387,8 @@ class TestSizeLimit:
             "b1 --space genus:2 --n 1000000000",
             "b1 --space genus:1000000000 --n 2",
             "verdict --space genus:2 --n 1000000000",
-            "verdict --space c-star --n 1000000000",
             "sigma1 --space genus:2 --n 1000000000",
+            "sigma1 --space c-star --n 1000000000",
         ],
     )
     def test_huge_input_exits_2_at_once(self, argv, capsys):
@@ -458,6 +462,18 @@ class TestVerdictOutput:
         assert code == 0
         assert json.loads(out)["witnesses"]["h1_rank"] == rank
 
+    @pytest.mark.parametrize("space", ["c-star", "hyperbolic:1"])
+    def test_billion_strands_punctured_plane_at_once(self, space, capsys):
+        # the plane route builds no jump locus, so no size bound is hit
+        n = 10**9
+        start = time.perf_counter()
+        code, out, _ = run_cli(["verdict", "--space", space, "--n", str(n)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "NotKahler"
+        assert payload["witnesses"] == {"b1": n + n * (n - 1) // 2}
+
     def test_full_flavor_trace_extends_pure(self, capsys):
         _, pure_out, _ = run_cli(
             ["verdict", "--space", "genus:2", "--n", "2"], capsys
@@ -489,7 +505,8 @@ class TestVerdictOutput:
 # sigma1, membership and verdict argvs at n >= 3 (except the c-star
 # twisted one, whose value 1 both routes give) were re-recorded when those
 # payloads moved to the Leray second page support rule and gained their
-# flags.  "@name" stands for
+# flags.  The c-star verdict was re-recorded when R6 moved to the plane
+# pure braid group on one more strand.  "@name" stands for
 # a file written under tmp_path from GOLDEN_FILES ("@p2_torus" is the data
 # file in the repository).
 
@@ -572,7 +589,7 @@ GOLDEN = [
     ("verdict --space genus:1 --n 3 --flavor full",
      "a367777a50861039a995951c3989a99b0c1cf37694b2924bce2dd4db9395e3be"),
     ("verdict --space c-star --n 3",
-     "a4ec344463d1f1b1a44b500da46598a91244556eb0208e40e4e9a307973815bb"),
+     "1af8ef2af39dd13879dabc9da630abd0d21e0a461606eeeaf9d82769b98ce730"),
     ("verdict --space sphere --n 3",
      "376186916952bb104d00ebe2f5e1506eb4bcaeb8ff58592c043196752d66265c"),
     ("verdict --space higher-dim:4:projective:2 --n 3 --flavor full",
@@ -602,6 +619,55 @@ def test_golden_stdout(argv, digest, tmp_path, capsys):
     code, out, _ = run_cli(real, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# every subcommand that reports anchors, over every space kind and both
+# flavours of the verdict; together they cite each anchor in the table
+ANCHOR_ARGVS = [
+    "verdict --space %s --n %d --flavor %s" % (space, n, flavor)
+    for space, n in [
+        ("sphere", 2), ("sphere", 4), ("plane", 2), ("plane", 3), ("disk", 3),
+        ("c-star", 2), ("c-star", 3), ("genus:1", 3), ("genus:2", 2),
+        ("hyperbolic:0", 3), ("hyperbolic:1", 3), ("hyperbolic:2", 2),
+        ("higher-dim:4:projective:2", 2), ("higher-dim:3", 2), ("higher-dim:3:other:2", 2),
+    ]
+    for flavor in ("pure", "full")
+] + [
+    "charp --group artin_pure:4 --p 3",
+    "charp --group sphere_pure:2 --p 5",
+    "charp --group surface_pure:1:3 --p 3",
+    "b1 --space genus:2 --n 3",
+    "b1 --space sphere --n 2",
+    "b1 --space sphere --n 5",
+    "b1 --space c-star --n 3",
+    "e2 --space genus:1 --n 3",
+    "sigma1 --space genus:2 --n 3",
+    "sigma1 --space genus:1 --n 3",
+    "sigma1 --space c-star --n 3",
+    "twisted --space genus:2 --n 3 --char @rho_g2",
+    "twisted --space genus:1 --n 3 --char @rho_t",
+    "twisted --space c-star --n 3 --char @rho_c",
+    "membership --space genus:2 --n 3 --char @rho_g2",
+    "membership --space genus:1 --n 3 --char @rho_t",
+    "membership --space c-star --n 3 --char @rho_c",
+]
+
+
+def test_cited_anchors_are_the_table(tmp_path, capsys):
+    key_of = {text: key for key, text in ANCHORS.items()}
+    paths = {name: write_json(tmp_path / (name + ".json"), payload) for name, payload in GOLDEN_FILES.items()}
+    cited = set()
+    for argv in ANCHOR_ARGVS:
+        real = [paths[a[1:]] if a.startswith("@") else a for a in argv.split()]
+        code, out, _ = run_cli(real, capsys)
+        assert code == 0, argv
+        payload = json.loads(out)
+        cited.update(key_of[step["anchor"]] for step in payload.get("trace", []) if step["anchor"])
+        cited.update(anchor["key"] for anchor in payload["anchors"])
+    # two library reports carry anchors that no subcommand prints
+    cited.update(pullback_vanishing(2, 3, 2).anchors)
+    cited.update(wreath_facts(SpaceSpec.parse("higher-dim:4:projective:4"), 2).anchors)
+    assert cited == set(ANCHORS)
 
 
 # one sha256 over the concatenated stdout of `tangent` at genus 1..5,

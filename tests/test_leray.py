@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from braidhom.anchors import anchor_text
 from braidhom.cohomology import (
     h1_dim,
     random_character,
@@ -46,7 +45,6 @@ from braidhom.presentations import (
     free_presentation,
     surface_presentation,
 )
-from braidhom.verdict import kahler_verdict
 from braidhom.verify import _independent_h1
 
 GENUS1 = SpaceSpec.parse("genus:1")
@@ -602,19 +600,15 @@ class TestWitnesses:
             assert sigma1_membership(GENUS1, 2, rho).components == ("T_1_2",)
 
 
-class TestSurjectionExcluded:
-    def test_cstar_conditional(self):
+class TestCstarLocus:
+    def test_pair_components_fall_short_of_cited_dimension(self):
         # on C* with 4 strands the computed pair component (dimension 1)
-        # falls short of the cited subtorus (dimension n - 1 = 3), so the
-        # surjection exclusion stays conditional rather than outright
+        # falls short of the cited subtorus (dimension n - 1 = 3), and
+        # the payload flags the departure
         locus = sigma1_components(CSTAR, 4)
         assert locus.components[0].dimension == 1
         assert locus.flags
-        v = kahler_verdict(CSTAR, 4, "pure")
-        assert v.trace[-1].anchor == anchor_text("surjection-cstar-conditional")
-        assert v.witnesses["conditional_exclusion"] is True
-        assert v.witnesses["component_dim"] == 3
-        assert v.witnesses["computed_component_dim"] == locus.components[0].dimension
+        assert locus.anchors == ("sigma1-cstar",)
 
 
 class TestPullback:

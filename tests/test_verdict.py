@@ -13,17 +13,14 @@ from braidhom.errors import InputError, OutOfRangeError, OutOfScopeError
 from braidhom.exactlin import AbelianProfile
 from braidhom.leray import b1_pure_braid, sigma1_components
 from braidhom.cohomology import abelianization
-from braidhom.presentations import SpaceSpec, parse_presentation
+from braidhom.presentations import SpaceSpec, catalog, parse_presentation
 from braidhom.verdict import (
     EXCLUDED,
     KAHLER,
     NOT_KAHLER,
     OUT_OF_SCOPE,
-    BeauvilleOutcome,
-    beauville_obstruction,
     charp_verdict,
     kahler_verdict,
-    parity_obstruction,
     wreath_facts,
 )
 
@@ -47,6 +44,14 @@ ANCHOR_FIXTURE = {
     'cstar-h1-rank': (
         'For the punctured plane with one puncture, the first homology of '
         'the pure braid group on n strands has rank n + n(n-1)/2.'
+    ),
+    'cstar-plane-iso': (
+        'Translating the last of n + 1 ordered points of the plane to '
+        'the origin identifies their configuration space with the plane '
+        'times the configuration space of n ordered points in the once '
+        'punctured plane, so the pure braid group of the once punctured '
+        'plane on n strands is the pure Artin braid group on n + 1 '
+        'strands.'
     ),
     'twisted-h1-transfer': (
         'For genus g >= 2, restriction along the surjection to the n-fold '
@@ -93,27 +98,6 @@ ANCHOR_FIXTURE = {
         'For the once punctured plane, the part of the first jump locus '
         'lying in the pulled back character torus is the union over pairs '
         'i < j of the mutually inverse subtori, each of dimension n - 1.'
-    ),
-    'sigma1-infinite': (
-        'The first jump locus of the pure braid group of the torus is an '
-        'infinite set.'
-    ),
-    'surjection-genus-bound': (
-        'For genus g >= 2 there is no surjection from the pure braid '
-        'group onto a closed surface group of genus h unless h <= g, '
-        'since the pulled back character variety is a 2h dimensional '
-        'subtorus of the jump locus.'
-    ),
-    'surjection-torus-bound': (
-        'For genus 1 and n >= 3 strands there is no surjection onto a '
-        'closed surface group of genus h unless h < n - 1, since at h = n '
-        '- 1 the pulled back character variety would coincide with a pair '
-        'subtorus and force the generic twisted dimension above 1.'
-    ),
-    'surjection-cstar-conditional': (
-        'For the once punctured plane there is no surjection onto a '
-        'closed surface group of genus at least 2 whose pulled back '
-        'character variety contains a pair subtorus.'
     ),
     'pullback-vanishing': (
         'For 2 <= m <= n the pullback of the top degree cohomology of the '
@@ -188,12 +172,6 @@ ANCHOR_FIXTURE = {
         'On a compact Kahler manifold there is no untranslated torus '
         'component of the first jump locus of dimension 2 or of odd '
         "dimension, by Beauville's theorem."
-    ),
-    'beauville-fibration': (
-        'On a compact Kahler manifold an untranslated torus component of '
-        'the first jump locus of dimension 2g >= 4 is the character '
-        'pullback of a connected fibration onto a curve of genus g, by '
-        "Beauville's theorem."
     ),
     'finite-index-kahler': (
         'A subgroup of finite index in a Kahler group is Kahler, so the '
@@ -400,7 +378,7 @@ class TestRuleTraces:
         assert v.witnesses["b1"] == 3
         assert "once punctured plane" in v.trace[0].text
         v3 = kahler_verdict(SpaceSpec.parse("hyperbolic:1"), 3, "pure")
-        assert {s.rule for s in v3.trace} == {"R6"}
+        assert {s.rule for s in v3.trace} == {"R6", "R1"}
 
     def test_hyperbolic_rank_zero_routes_to_disk(self):
         v = kahler_verdict(SpaceSpec.parse("hyperbolic:0"), 4, "pure")
@@ -460,23 +438,29 @@ class TestRuleTraces:
             ANCHOR_FIXTURE["betti-even"],
         ]
 
-    def test_cstar_more_strands_conditional_chain(self):
+    def test_cstar_more_strands_through_the_plane(self):
         v = kahler_verdict(SpaceSpec.parse("c-star"), 4, "pure")
         anchors = [s.anchor for s in v.trace]
         assert anchors == [
-            ANCHOR_FIXTURE["sigma1-cstar"],
-            ANCHOR_FIXTURE["beauville-untranslated"],
-            ANCHOR_FIXTURE["beauville-fibration"],
-            ANCHOR_FIXTURE["surjection-cstar-conditional"],
+            ANCHOR_FIXTURE["cstar-plane-iso"],
+            ANCHOR_FIXTURE["plane-artin-extension"],
+            ANCHOR_FIXTURE["ends-extension"],
         ]
-        # the cited dimension n - 1 is kept, next to the computed one
-        assert v.witnesses == {
-            "component_dim": 3,
-            "computed_component_dim": 1,
-            "conditional_exclusion": True,
-        }
-        assert "cited jump locus" in v.trace[0].text
-        assert "computed jump locus" not in v.trace[0].text
+        assert [s.rule for s in v.trace] == ["R6", "R1", "R1"]
+        assert v.witnesses == {"b1": 10}
+        assert "plane pure braid group on 5 strands" in v.trace[0].text
+
+    @pytest.mark.parametrize("flavor", ["pure", "full"])
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_cstar_trace_continues_as_plane_on_one_more_strand(self, n, flavor):
+        plane = kahler_verdict(SpaceSpec.parse("plane"), n + 1, flavor)
+        for spec in ("c-star", "hyperbolic:1"):
+            v = kahler_verdict(SpaceSpec.parse(spec), n, flavor)
+            assert v.status == NOT_KAHLER
+            assert v.trace[0].rule == "R6"
+            assert v.trace[0].anchor == ANCHOR_FIXTURE["cstar-plane-iso"]
+            assert v.trace[1:] == plane.trace
+            assert v.witnesses == {"b1": n + n * (n - 1) // 2}
 
 
 class TestWitnessConsistency:
@@ -499,9 +483,12 @@ class TestWitnessConsistency:
         space = SpaceSpec.parse("c-star")
         v = kahler_verdict(space, 2, "pure")
         assert v.witnesses["b1"] == b1_pure_braid(space, 2).free_rank
-        v4 = kahler_verdict(space, 4, "pure")
-        locus = sigma1_components(space, 4)
-        assert v4.witnesses["computed_component_dim"] == locus.components[0].dimension
+        # on more strands the b1 witness is that of the plane pure braid
+        # group on one more strand
+        for n in (3, 4, 5):
+            v = kahler_verdict(space, n, "pure")
+            plane = abelianization(catalog("artin_pure:%d" % (n + 1)))
+            assert v.witnesses["b1"] == b1_pure_braid(space, n).free_rank == plane.rank
 
 
 class TestDenseGuardFallback:
@@ -530,44 +517,6 @@ class TestDenseGuardFallback:
     def test_past_size_bound_fails(self):
         with pytest.raises(OutOfRangeError, match="limited to"):
             kahler_verdict(SpaceSpec.parse("genus:2"), 259, "pure")
-
-
-class TestObstructionHelpers:
-    def test_parity(self):
-        assert parity_obstruction(AbelianProfile(3)) is not None
-        assert parity_obstruction(AbelianProfile(4)) is None
-        assert parity_obstruction(AbelianProfile(0)) is None
-        hit = parity_obstruction(AbelianProfile(3, (2,)))
-        assert hit.kind == "odd-first-betti"
-        assert hit.anchors == ("betti-even",)
-
-    def test_beauville_dimension_two(self):
-        out = beauville_obstruction([2])
-        assert out == BeauvilleOutcome(
-            kind="obstruction", dimension=2, anchors=("beauville-untranslated",)
-        )
-
-    def test_beauville_odd_dimension(self):
-        out = beauville_obstruction([3])
-        assert out.kind == "obstruction"
-
-    def test_beauville_obstruction_beats_fibration(self):
-        out = beauville_obstruction([4, 3])
-        assert out.kind == "obstruction"
-        assert out.dimension == 3
-
-    def test_beauville_ignores_points(self):
-        assert beauville_obstruction([]) is None
-        assert beauville_obstruction([0]) is None
-        assert beauville_obstruction([0, 4]) is None
-        assert beauville_obstruction([0, 4, 6]) is None
-        assert beauville_obstruction([0, 2]).dimension == 2
-
-    def test_beauville_on_computed_locus_dimensions(self):
-        locus = sigma1_components(SpaceSpec.parse("genus:1"), 3)
-        out = beauville_obstruction([c.dimension for c in locus.components])
-        assert out.kind == "obstruction"
-        assert out.dimension == 2
 
 
 class TestWreath:
