@@ -14,10 +14,14 @@ checkouts that answer alike print the same lines:
     python3 scripts/argv_digest.py            # seed 1
     python3 scripts/argv_digest.py --seed 7
 
-Then every distinct argv runs a second time, in reverse order and with
-the caches the first pass left warm.  State kept across calls must not
-change an answer: if one differs from its cold answer, the first such
-argv in plan order is named on stderr and the exit status is 1.
+Then every distinct argv runs a second time, in reverse order, with
+the caches the first pass left warm and every ``--option value`` pair
+respelled ``--option=value`` (bare flags stay bare).  The cold pass's
+fully spelled argvs are read off the subparser's actions; the ``=``
+spelling sends every warm argv through the full argparse parse.  So
+neither state kept across calls nor the parse route may change an
+answer: if one differs from its cold answer, the first such argv in
+plan order is named on stderr and the exit status is 1.
 """
 
 import argparse
@@ -80,23 +84,38 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def record(argv, workdir, caches=()):
+def respelled(argv):
+    """``argv`` with each ``--option value`` pair of its subcommand written
+    ``--option=value``; bare flags and anything else stay as they are."""
+    sub = cli.build_parser().commands.get(argv[0]) if argv else None
+    if sub is None:
+        return list(argv)
+    out = list(argv[:1])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = sub._option_string_actions.get(token)
+        value = next(tokens, None) if action is not None and action.nargs is None else None
+        out.append(token if value is None else token + "=" + value)
+    return out
+
+
+def record(argv, workdir, caches=(), spell=list):
     """One argv's answer as the line that is hashed, after clearing
-    ``caches``."""
+    ``caches``; the call is made with ``spell(argv)``."""
     for cached in caches:
         cached.cache_clear()
-    code, out, err = run(argv)
+    code, out, err = run(spell(argv))
     return json.dumps([argv, code, out, err]).replace(workdir, WORKDIR)
 
 
 def digest(name, seed, caches):
     """Argv count, sha256 of the cold answers and the first argv, in plan
-    order, whose answer differs on the warm rerun in reverse order (None
-    when none does)."""
+    order, whose answer differs on the warm, respelled rerun in reverse
+    order (None when none does)."""
     with tempfile.TemporaryDirectory() as workdir:
         argvs = plan_argvs(name, seed, workdir)
         first = [record(argv, workdir, caches) for argv in argvs]
-        warm = [record(argv, workdir) for argv in reversed(argvs)][::-1]
+        warm = [record(argv, workdir, spell=respelled) for argv in reversed(argvs)][::-1]
     h = hashlib.sha256()
     for line in first:
         h.update(line.encode("utf-8"))
@@ -120,8 +139,8 @@ def main():
             changed.append((name, argv))
     print("total %d distinct argvs" % total)
     for name, argv in changed:
-        print("%s: the warm rerun changed the answer to %s" % (name, " ".join(argv)),
-              file=sys.stderr)
+        print("%s: the warm, respelled rerun changed the answer to %s; a memo "
+              "or the parse route differs" % (name, " ".join(argv)), file=sys.stderr)
     return 1 if changed else 0
 
 

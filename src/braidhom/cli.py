@@ -10,6 +10,8 @@ Exit codes: 0 success, 1 a ``verify`` criterion failed, 2 usage or
 input error.
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import sys
@@ -365,9 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     Reuse is safe: parsing returns a fresh namespace on every call and
     the handlers are plain module functions.
 
-    ``main`` hands the arguments after the command name straight to that
-    subcommand's parser; the top-level parser answers only help, a
-    missing or unknown command and leftover arguments.
+    It is the only grammar: ``_parse`` reads a fully spelled argv off
+    the subparsers' own actions (``commands`` maps each command name to
+    its subparser) and hands every other argv to ``parse_args``, which
+    alone prints usage, help and errors.
     """
     parser = argparse.ArgumentParser(
         prog="braidhom",
@@ -454,22 +457,85 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list) -> argparse.Namespace:
-    """What ``build_parser().parse_args(argv)`` returns, parsed once.
+# the action kinds ``_read_spelled`` applies: ``--option value`` and bare flags
+_SPELLED = (
+    argparse._StoreAction,
+    argparse._StoreConstAction,
+    argparse._StoreTrueAction,
+    argparse._StoreFalseAction,
+)
 
-    The top-level parser would itself pass everything after a known
-    command name to that subcommand's ``parse_known_args``, so that call
-    is made directly.  Empty argv, top-level options, unknown commands
-    and leftover arguments go to the top-level parser, which prints
-    their usage, help and errors.
+
+def _read_spelled(sub: argparse.ArgumentParser, args: list):
+    """The attributes, in order, of the namespace
+    ``sub.parse_known_args(args)`` returns, or None.
+
+    Reads ``args`` straight off the subparser's own action table when
+    they are only ``--option value`` pairs and bare flags, each option
+    spelled in full.  Anything else is None: an abbreviation, an
+    ``--option=value`` spelling, a value starting with ``-``, help, a
+    value its ``type`` or ``choices`` reject, a missing required option,
+    a leftover token, or a subparser feature not read here (positionals,
+    mutually exclusive groups, ``nargs`` other than None or 0, other
+    prefix characters or ``@`` files).
+    """
+    if sub._mutually_exclusive_groups or sub.prefix_chars != "-" or sub.fromfile_prefix_chars:
+        return None
+    values = {}
+    for action in sub._actions:
+        if not action.option_strings or action.nargs not in (None, 0):
+            return None
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            values.setdefault(action.dest, action.default)
+    for dest, default in sub._defaults.items():
+        values.setdefault(dest, default)
+    seen = set()
+    tokens = iter(args)
+    for token in tokens:
+        action = sub._option_string_actions.get(token)
+        if type(action) not in _SPELLED:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+        else:
+            text = next(tokens, "-")  # a missing value reads as "-"
+            if text.startswith("-"):
+                return None
+            try:
+                value = text if action.type is None else action.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        seen.add(action)
+    for action in sub._actions:
+        # argparse converts an unseen ``str`` default through ``type``
+        if action not in seen and (
+            action.required or isinstance(action.default, str) and action.type is not None
+        ):
+            return None
+    return values
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns.
+
+    A known command followed by fully spelled ``--option value`` pairs
+    and bare flags is read off that subcommand's own argparse actions
+    by ``_read_spelled``, with no parse.  Every other argv, including
+    empty argv, top-level options, unknown commands, help and anything
+    the reader cannot match exactly, goes to ``parse_args``, which
+    stays the reference and prints all usage, help and errors.
     """
     parser = build_parser()
     sub = parser.commands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    values = _read_spelled(sub, argv[1:]) if sub is not None else None
+    if values is None:
+        return parser.parse_args(argv)
+    args = argparse.Namespace(command=argv[0])
+    vars(args).update(values)
+    return args
 
 
 def main(argv=None) -> int:

@@ -19,6 +19,8 @@ product groups from factor data, and the seeded random samplers that
 the acceptance checks draw from.
 """
 
+from __future__ import annotations
+
 import random
 from dataclasses import dataclass
 from fractions import Fraction

@@ -10,6 +10,8 @@ the jump locus descriptions and membership tests read off the same
 support rule, and the vanishing fact for pulled back top classes.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional

@@ -27,6 +27,8 @@ Status strings are plain ASCII: Kahler, NotKahler, OutOfScope, and
 Excluded (the characteristic p analogue of NotKahler).
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from typing import Optional
 

@@ -7,6 +7,8 @@ is statistical, closed-form comparison where it is not.  The CLI
 through :func:`run_criteria`.
 """
 
+from __future__ import annotations
+
 import math
 import os
 import random

@@ -9,6 +9,9 @@ unchanged."""
 import argparse
 import hashlib
 import json
+import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -798,7 +801,63 @@ DISPATCH_ARGVS = [
     "b1 -- --space genus:2 --n 5",
     "b1 --space genus:2 --n 5 -h",
     "-x b1 --space genus:2 --n 5",
+    # spellings the reader leaves to the full parse, and repeats it reads
+    "b1 --space genus:2 --n=5",
+    "b1 --space=genus:2 --n 5",
+    "b1 --space genus:1 --n 5 --space genus:2",
+    "b1 --space genus:2 --n 5 --json --json",
+    "b1 --space genus:2 --n ''",
+    "b1 --space genus:2 --n ' 5'",
+    "b1 --space '' --n 5",
+    "verdict --space genus:2 --n 3 --flavor pure --flavor mixed",
+    "b1 --space genus:2 --n x --n 5",
+    "twisted --space genus:2 --n 2 --char -",
+    "b1 --space --n 5",
+    "abelianize --catalog surface:2 --file",
 ]
+
+
+def _seeded_argvs(count=320):
+    """Argvs drawn from every subcommand's option strings, mixing full
+    spellings, abbreviations, ``=`` forms, missing values, repeats, bad
+    ints and bad choices.  Most start with the required options spelled
+    in full, so both routes see many of them."""
+    rng = cohomology_module.seeded_rng(2207)
+    commands = build_parser().commands
+
+    def value(action):
+        if action.choices is not None:
+            return rng.choice(list(action.choices) + ["bogus"])
+        if action.type is int:
+            return rng.choice(["3", "3", "3", "0", "-2", "x", " 5", ""])
+        return rng.choice(["genus:2", "genus:2", "c-star", "a.json", "", "-"])
+
+    argvs = []
+    for _ in range(count):
+        name = rng.choice(sorted(commands))
+        sub = commands[name]
+        argv = [name]
+        if rng.random() < 0.7:
+            for action in sub._actions:
+                if action.required:
+                    argv += [action.option_strings[0], value(action)]
+        options = sorted(sub._option_string_actions)
+        for _ in range(rng.randint(0, 4)):
+            option = rng.choice(options)
+            action = sub._option_string_actions[option]
+            form = rng.random()
+            if form < 0.06:
+                argv.append(option[: rng.randint(3, max(3, len(option) - 1))])
+            elif action.nargs == 0:
+                argv.append(option)
+            elif form < 0.12:
+                argv.append(option + "=" + value(action))
+            elif form < 0.18:
+                argv.append(option)  # its value goes missing or is the next option
+            else:
+                argv += [option, value(action)]
+        argvs.append(argv)
+    return argvs
 
 
 def _outcome(call, argv, capsys):
@@ -812,9 +871,12 @@ def _outcome(call, argv, capsys):
     return result, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda a: a or "<empty>")
-def test_dispatch_matches_top_level_parse(argv, fresh_parser, capsys):
-    argv = argv.split()
+@pytest.mark.parametrize(
+    "argvs",
+    [[shlex.split(argv)] for argv in DISPATCH_ARGVS] + [_seeded_argvs()],
+    ids=[argv or "<empty>" for argv in DISPATCH_ARGVS] + ["seeded"],
+)
+def test_dispatch_matches_top_level_parse(argvs, fresh_parser, capsys):
     parsed = []
 
     def record(args):
@@ -828,12 +890,13 @@ def test_dispatch_matches_top_level_parse(argv, fresh_parser, capsys):
         assert main(argv) == 0
         return parsed.pop()
 
-    expected = _outcome(build_parser().parse_args, argv, capsys)
-    assert _outcome(through_main, argv, capsys) == expected
-    assert parsed == []
+    for argv in argvs:
+        expected = _outcome(build_parser().parse_args, argv, capsys)
+        assert _outcome(through_main, argv, capsys) == expected, argv
+        assert parsed == []
 
 
-def test_known_command_parsed_once_by_its_subparser(fresh_parser, monkeypatch, capsys):
+def test_spelled_argv_read_without_argparse(fresh_parser, monkeypatch, capsys):
     calls = []
     parse = argparse.ArgumentParser.parse_known_args
 
@@ -843,9 +906,92 @@ def test_known_command_parsed_once_by_its_subparser(fresh_parser, monkeypatch, c
 
     build_parser()
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-    code, _, _ = run_cli(["b1", "--space", "sphere", "--n", "4"], capsys)
-    assert code == 0
-    assert calls == ["braidhom b1"]
+    spelled = run_cli(["b1", "--space", "sphere", "--n", "4"], capsys)
+    assert spelled[0] == 0
+    assert calls == []
+    # an abbreviation goes through the full parse, to the same answer
+    assert run_cli(["b1", "--sp", "sphere", "--n", "4"], capsys) == spelled
+    assert calls == ["braidhom", "braidhom b1"]
+
+
+def _spelled_variants(sub):
+    """Fully spelled argvs for one subparser: every option given, only
+    the required ones, and every flag twice."""
+    options = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+
+    def spell(action):
+        if action.nargs == 0:
+            return [action.option_strings[-1]]
+        if action.choices is not None:
+            return [action.option_strings[-1], str(list(action.choices)[-1])]
+        return [action.option_strings[-1], "3" if action.type is int else "x"]
+
+    every = [token for a in options for token in spell(a)]
+    required = [token for a in options if a.required for token in spell(a)]
+    flags = [token for a in options if a.nargs == 0 for token in spell(a) * 2]
+    return [every, required, required + flags]
+
+
+@pytest.mark.parametrize("name", sorted(build_parser().commands))
+def test_reader_matches_parse_on_every_subcommand(name, fresh_parser, capsys):
+    sub = build_parser().commands[name]
+    for args in _spelled_variants(sub):
+        argv = [name] + args
+        assert cli_module._read_spelled(sub, args) is not None, argv
+        assert cli_module._parse(argv) == build_parser().parse_args(argv), argv
+
+
+def _parser_with(name="--a", exclusive=False, prefix_chars="-", fromfile_prefix_chars=None,
+                 **options):
+    """A parser with the one argument ``name``, taking ``options``."""
+    parser = argparse.ArgumentParser(
+        prefix_chars=prefix_chars, fromfile_prefix_chars=fromfile_prefix_chars
+    )
+    holder = parser.add_mutually_exclusive_group() if exclusive else parser
+    holder.add_argument(name, **options)
+    return parser
+
+
+# parsers with one feature the reader does not read, and arguments meeting it
+_UNREAD_FEATURES = {
+    "positional": (_parser_with("path"), []),
+    "exclusive": (_parser_with(exclusive=True), ["--a", "1"]),
+    "nargs-optional": (_parser_with(nargs="?"), ["--a", "1"]),
+    "append": (_parser_with(action="append"), ["--a", "1"]),
+    "count": (_parser_with(action="count"), ["--a"]),
+    "str-default-with-type": (_parser_with(type=int, default="7"), []),
+    "plus-prefix": (_parser_with(prefix_chars="-+"), ["--a", "1"]),
+    "at-files": (_parser_with(fromfile_prefix_chars="@"), ["--a", "1"]),
+}
+
+
+@pytest.mark.parametrize("feature", sorted(_UNREAD_FEATURES))
+def test_reader_refuses_features_it_does_not_read(feature):
+    parser, args = _UNREAD_FEATURES[feature]
+    assert cli_module._read_spelled(parser, args) is None
+
+
+def test_reimport_leaves_no_old_copy_alive():
+    script = """
+import gc, importlib, sys, weakref
+
+sys.path.insert(0, sys.argv[1])
+
+def fresh():
+    for name in [m for m in sys.modules if m.split(".")[0] == "braidhom"]:
+        del sys.modules[name]
+    importlib.import_module("braidhom.cli")
+
+fresh()
+first = weakref.ref(sys.modules["braidhom.presentations"].Character)
+fresh()
+fresh()
+gc.collect()
+sys.exit(0 if first() is None else 1)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script, src])
+    assert done.returncode == 0
 
 
 # ---------------------------------------------------------------------------
