@@ -16,8 +16,9 @@ checkouts that answer alike print the same lines:
 
 Then every distinct argv runs a second time, in reverse order, with
 the caches the first pass left warm and every ``--option value`` pair
-respelled ``--option=value`` (bare flags stay bare).  The cold pass's
-fully spelled argvs are read off the subparser's actions; the ``=``
+respelled ``--option=value`` (bare flags stay bare), the options and
+flags taken from the grammar table ``braidhom.cli.COMMANDS``.  The cold
+pass's fully spelled argvs are read straight off that table; the ``=``
 spelling sends every warm argv through the full argparse parse.  So
 neither state kept across calls nor the parse route may change an
 answer: if one differs from its cold answer, the first such argv in
@@ -85,16 +86,18 @@ def run(argv):
 
 
 def respelled(argv):
-    """``argv`` with each ``--option value`` pair of its subcommand written
-    ``--option=value``; bare flags and anything else stay as they are."""
-    sub = cli.build_parser().commands.get(argv[0]) if argv else None
-    if sub is None:
+    """``argv`` with each ``--option value`` pair of its command, as
+    ``cli.COMMANDS`` states the options, written ``--option=value``; bare
+    flags and anything else stay as they are."""
+    command = cli.COMMANDS.get(argv[0]) if argv else None
+    if command is None:
         return list(argv)
+    options = dict(command[2])
     out = list(argv[:1])
     tokens = iter(argv[1:])
     for token in tokens:
-        action = sub._option_string_actions.get(token)
-        value = next(tokens, None) if action is not None and action.nargs is None else None
+        keywords = options.get(token)
+        value = next(tokens, None) if keywords is not None and "action" not in keywords else None
         out.append(token if value is None else token + "=" + value)
     return out
 

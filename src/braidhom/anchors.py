@@ -81,10 +81,6 @@ ANCHORS: dict[str, str] = {
         "lying in the pulled back character torus is the union over pairs "
         "i < j of the mutually inverse subtori, each of dimension n - 1."
     ),
-    "pullback-vanishing": (
-        "For 2 <= m <= n the pullback of the top degree cohomology of the "
-        "m-fold surface product to the pure braid group vanishes."
-    ),
     # Kahler obstructions
     "ends-extension": (
         "A group that is an extension of a group with infinitely many ends "
@@ -176,11 +172,6 @@ ANCHORS: dict[str, str] = {
         "the braid groups are fundamental groups of smooth projective "
         "varieties, since a wreath product of a projective group by a "
         "finite group acting on a finite faithful set is projective."
-    ),
-    "coinvariants": (
-        "The first homology of the full braid group maps onto the "
-        "coinvariants of the symmetric group acting on the n-fold sum, "
-        "which is one copy of the factor profile."
     ),
     # characteristic p
     "charp-exclusion": (

@@ -6,6 +6,11 @@ the cohomology module, so identical argv plus seed produce byte
 identical output.  Every report carries an ``anchors``
 array with the cited statements, resolved from the anchor table.
 
+The grammar is one table, ``COMMANDS``.  A command followed by fully
+spelled ``--option value`` pairs and flags is read straight off it;
+the argparse parser is built from the same table only when an argv
+needs it (help, usage errors, abbreviations, ``--option=value``).
+
 Exit codes: 0 success, 1 a ``verify`` criterion failed, 2 usage or
 input error.
 """
@@ -345,32 +350,90 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument grammar
+# argument grammar, stated once: each command's handler, help line and
+# options, each option a ``--flag`` with its ``add_argument`` keywords.
+# ``build_parser`` and ``_read_spelled`` both read this table, and its
+# keywords are only ``type`` (int or absent), ``required``, ``default``,
+# ``choices``, ``action="store_true"`` and ``help``.
+
+_PRESENTATION = (
+    ("--catalog", {"help": "catalog id, e.g. surface:2"}),
+    ("--file", {"help": "path to a presentation file"}),
+)
+_SPACE_N = (
+    ("--space", {"required": True, "help": "space spec, e.g. genus:2"}),
+    ("--n", {"type": int, "required": True, "help": "strand count"}),
+)
+# accepted everywhere, read by ``verify`` alone: the rest print JSON anyway
+_JSON = (("--json", {"action": "store_true"}),)
+
+COMMANDS = {
+    "abelianize": (_cmd_abelianize, "first homology of a presentation", _PRESENTATION + (
+        ("--json", {"action": "store_true", "help": "JSON output (default)"}),
+    )),
+    "h1": (_cmd_h1, "twisted first cohomology via Fox calculus", _PRESENTATION + (
+        ("--char", {"required": True, "help": "character JSON file"}),
+    ) + _JSON),
+    "b1": (_cmd_b1, "pure braid first homology of a space", _SPACE_N + _JSON),
+    "twisted": (_cmd_twisted, "twisted h1 of a pure braid group", _SPACE_N + (
+        ("--char", {"required": True, "help": "character tuple JSON file"}),
+    ) + _JSON),
+    "e2": (_cmd_e2, "degree-two page fragment ranks", _SPACE_N + _JSON),
+    "sigma1": (_cmd_sigma1, "jump locus component description", _SPACE_N + _JSON),
+    "membership": (_cmd_membership, "jump locus membership of a tuple", _SPACE_N + (
+        ("--char", {"required": True, "help": "character tuple JSON file"}),
+    ) + _JSON),
+    "charvar": (_cmd_charvar, "character variety dimension formulas", (
+        ("--genus", {"type": int, "required": True}),
+        ("--ranks", {"required": True, "help": "comma list, e.g. 2 or 2,3"}),
+        ("--flavor", {"choices": ("SL", "GL"), "default": "SL"}),
+    ) + _JSON),
+    "tangent": (_cmd_tangent, "tangent dimensions at a sampled point", (
+        ("--genus", {"type": int, "default": 2}),
+        ("--seed", {"type": int, "default": DEFAULT_SEED}),
+        ("--spread", {"type": int, "default": 3}),
+    ) + _JSON),
+    "verdict": (_cmd_verdict, "Kahler decision with trace", (
+        ("--space", {"required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--flavor", {"choices": ("pure", "full"), "default": "pure"}),
+    ) + _JSON),
+    "charp": (_cmd_charp, "characteristic p exclusion", (
+        ("--group", {"required": True, "help": "artin_pure:n or sphere_pure:n"}),
+        ("--p", {"type": int, "required": True}),
+    ) + _JSON),
+    "verify": (_cmd_verify, "run acceptance criteria", (
+        ("--criteria", {"help": "comma list of criterion numbers or names; default all"}),
+        ("--seed", {"type": int, "default": DEFAULT_SEED}),
+    ) + _JSON),
+}
 
 
-def _add_presentation_flags(sub) -> None:
-    sub.add_argument("--catalog", help="catalog id, e.g. surface:2")
-    sub.add_argument("--file", help="path to a presentation file")
+def _index(name: str, handler, options) -> tuple:
+    """One command's options as ``_read_spelled`` reads them: option ->
+    keywords, the namespace argparse starts from (the command, each
+    option's default in table order, then the handler) and the required
+    options.  An option's attribute is its name without the dashes."""
+    start = {"command": name}
+    for flag, keywords in options:
+        start[flag[2:]] = keywords.get("default", False if "action" in keywords else None)
+    start["func"] = handler
+    required = frozenset(flag for flag, keywords in options if keywords.get("required"))
+    return dict(options), start, required
 
 
-def _add_space_n(sub) -> None:
-    sub.add_argument("--space", required=True, help="space spec, e.g. genus:2")
-    sub.add_argument("--n", type=int, required=True, help="strand count")
+_INDEX = {name: _index(name, handler, options) for name, (handler, _, options) in COMMANDS.items()}
 
 
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument grammar, built on the first call and reused after.
+    """The argparse form of ``COMMANDS``, built on the first call that
+    needs it and reused after.
 
     Building it costs a few milliseconds, several times the mathematics
-    of a small query, so repeated ``main`` calls in one process share it.
-    Reuse is safe: parsing returns a fresh namespace on every call and
-    the handlers are plain module functions.
-
-    It is the only grammar: ``_parse`` reads a fully spelled argv off
-    the subparsers' own actions (``commands`` maps each command name to
-    its subparser) and hands every other argv to ``parse_args``, which
-    alone prints usage, help and errors.
+    of a small query, and a fully spelled argv never needs it.  Reuse is
+    safe: parsing returns a fresh namespace on every call and the
+    handlers are plain module functions.
     """
     parser = argparse.ArgumentParser(
         prog="braidhom",
@@ -378,162 +441,66 @@ def build_parser() -> argparse.ArgumentParser:
         "Kahler decision rules",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("abelianize", help="first homology of a presentation")
-    _add_presentation_flags(p)
-    p.add_argument("--json", action="store_true", help="JSON output (default)")
-    p.set_defaults(func=_cmd_abelianize)
-
-    p = sub.add_parser("h1", help="twisted first cohomology via Fox calculus")
-    _add_presentation_flags(p)
-    p.add_argument("--char", required=True, help="character JSON file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_h1)
-
-    p = sub.add_parser("b1", help="pure braid first homology of a space")
-    _add_space_n(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_b1)
-
-    p = sub.add_parser("twisted", help="twisted h1 of a pure braid group")
-    _add_space_n(p)
-    p.add_argument("--char", required=True, help="character tuple JSON file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_twisted)
-
-    p = sub.add_parser("e2", help="degree-two page fragment ranks")
-    _add_space_n(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_e2)
-
-    p = sub.add_parser("sigma1", help="jump locus component description")
-    _add_space_n(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_sigma1)
-
-    p = sub.add_parser("membership", help="jump locus membership of a tuple")
-    _add_space_n(p)
-    p.add_argument("--char", required=True, help="character tuple JSON file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_membership)
-
-    p = sub.add_parser("charvar", help="character variety dimension formulas")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--ranks", required=True, help="comma list, e.g. 2 or 2,3")
-    p.add_argument("--flavor", choices=("SL", "GL"), default="SL")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_charvar)
-
-    p = sub.add_parser("tangent", help="tangent dimensions at a sampled point")
-    p.add_argument("--genus", type=int, default=2)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--spread", type=int, default=3)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_tangent)
-
-    p = sub.add_parser("verdict", help="Kahler decision with trace")
-    p.add_argument("--space", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--flavor", choices=("pure", "full"), default="pure")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verdict)
-
-    p = sub.add_parser("charp", help="characteristic p exclusion")
-    p.add_argument("--group", required=True, help="artin_pure:n or sphere_pure:n")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_charp)
-
-    p = sub.add_parser("verify", help="run acceptance criteria")
-    p.add_argument(
-        "--criteria",
-        help="comma list of criterion numbers or names; default all",
-    )
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
-
-    parser.commands = sub.choices  # name -> subparser, read by _parse
+    for name, (handler, text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
-# the action kinds ``_read_spelled`` applies: ``--option value`` and bare flags
-_SPELLED = (
-    argparse._StoreAction,
-    argparse._StoreConstAction,
-    argparse._StoreTrueAction,
-    argparse._StoreFalseAction,
-)
-
-
-def _read_spelled(sub: argparse.ArgumentParser, args: list):
+def _read_spelled(argv: list):
     """The attributes, in order, of the namespace
-    ``sub.parse_known_args(args)`` returns, or None.
+    ``build_parser().parse_args(argv)`` returns, or None.
 
-    Reads ``args`` straight off the subparser's own action table when
-    they are only ``--option value`` pairs and bare flags, each option
-    spelled in full.  Anything else is None: an abbreviation, an
-    ``--option=value`` spelling, a value starting with ``-``, help, a
-    value its ``type`` or ``choices`` reject, a missing required option,
-    a leftover token, or a subparser feature not read here (positionals,
-    mutually exclusive groups, ``nargs`` other than None or 0, other
-    prefix characters or ``@`` files).
+    Reads ``argv`` off ``COMMANDS`` when it is a command followed only
+    by ``--option value`` pairs and bare flags, each option spelled in
+    full.  Anything else is None: an unknown command, an abbreviation,
+    an ``--option=value`` spelling, a value starting with ``-``, help, a
+    value that ``int`` or ``choices`` reject, a missing required option
+    or a leftover token.
     """
-    if sub._mutually_exclusive_groups or sub.prefix_chars != "-" or sub.fromfile_prefix_chars:
+    index = _INDEX.get(argv[0]) if argv else None
+    if index is None:
         return None
-    values = {}
-    for action in sub._actions:
-        if not action.option_strings or action.nargs not in (None, 0):
-            return None
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            values.setdefault(action.dest, action.default)
-    for dest, default in sub._defaults.items():
-        values.setdefault(dest, default)
+    options, start, required = index
+    values = dict(start)
     seen = set()
-    tokens = iter(args)
+    tokens = iter(argv[1:])
     for token in tokens:
-        action = sub._option_string_actions.get(token)
-        if type(action) not in _SPELLED:
+        keywords = options.get(token)
+        if keywords is None:
             return None
-        if action.nargs == 0:
-            values[action.dest] = action.const
+        if "action" in keywords:
+            values[token[2:]] = True
         else:
             text = next(tokens, "-")  # a missing value reads as "-"
             if text.startswith("-"):
                 return None
             try:
-                value = text if action.type is None else action.type(text)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                value = keywords.get("type", str)(text)
+            except ValueError:
                 return None
-            if action.choices is not None and value not in action.choices:
+            if value not in keywords.get("choices", (value,)):
                 return None
-            values[action.dest] = value
-        seen.add(action)
-    for action in sub._actions:
-        # argparse converts an unseen ``str`` default through ``type``
-        if action not in seen and (
-            action.required or isinstance(action.default, str) and action.type is not None
-        ):
-            return None
-    return values
+            values[token[2:]] = value
+        seen.add(token)
+    return values if required <= seen else None
 
 
 def _parse(argv: list) -> argparse.Namespace:
     """What ``build_parser().parse_args(argv)`` returns.
 
-    A known command followed by fully spelled ``--option value`` pairs
-    and bare flags is read off that subcommand's own argparse actions
-    by ``_read_spelled``, with no parse.  Every other argv, including
-    empty argv, top-level options, unknown commands, help and anything
-    the reader cannot match exactly, goes to ``parse_args``, which
-    stays the reference and prints all usage, help and errors.
+    A fully spelled argv is read off ``COMMANDS`` by ``_read_spelled``,
+    with no parser built.  Every other argv, including empty argv,
+    top-level options, unknown commands, help and anything the reader
+    cannot match exactly, goes to ``parse_args``, which stays the
+    reference and prints all usage, help and errors.
     """
-    parser = build_parser()
-    sub = parser.commands.get(argv[0]) if argv else None
-    values = _read_spelled(sub, argv[1:]) if sub is not None else None
+    values = _read_spelled(argv)
     if values is None:
-        return parser.parse_args(argv)
-    args = argparse.Namespace(command=argv[0])
+        return build_parser().parse_args(argv)
+    args = argparse.Namespace()
     vars(args).update(values)
     return args
 

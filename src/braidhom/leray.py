@@ -470,7 +470,6 @@ def sigma1_membership(space: SpaceSpec, n: int, rho: CharacterTuple) -> Membersh
 class PullbackFact:
     value: int
     degree: int
-    anchors: tuple[str, ...] = ("pullback-vanishing",)
 
 
 def pullback_vanishing(g: int, n: int, m: int) -> PullbackFact:

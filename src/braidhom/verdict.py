@@ -444,8 +444,6 @@ class WreathReport:
     pure_h1: AbelianProfile
     full_h1: AbelianProfile
     projective: Optional[bool]
-    anchors: tuple[str, ...]
-    notes: tuple[str, ...]
 
 
 def _base_profile(space: SpaceSpec) -> AbelianProfile:
@@ -487,36 +485,12 @@ def wreath_facts(space: SpaceSpec, n: int) -> WreathReport:
     if n >= 2:
         divisors = column_divisors([{i: d} for i, d in enumerate(base.torsion + (2,))])
         full = AbelianProfile(base.rank, tuple(d for d in divisors if d > 1))
-    anchors = ["wreath-pure-iso", "wreath-full-iso", "coinvariants"]
-    notes = [
-        "the full braid group value is the coinvariant profile plus the "
-        "abelianized symmetric group, Z/2 from two strands on, as the "
-        "wreath product is a split extension by the symmetric group",
-    ]
-    projective: Optional[bool]
-    if space.base_kind in ("trivial", "finite"):
-        projective = True
-        anchors.append("finite-projective")
-    elif space.base_kind == "projective" and (space.complex_dim or 0) >= 2:
-        projective = True
-        anchors.append("wreath-projective")
-    else:
-        projective = None
-        if space.base_kind == "projective":
-            notes.append(
-                "the base group is projective but the real dimension is "
-                "odd, so the complex dimension hypothesis of the "
-                "projectivity statement fails; the flag is left open"
-            )
-    return WreathReport(
-        space=space,
-        n=n,
-        pure_h1=pure,
-        full_h1=full,
-        projective=projective,
-        anchors=tuple(anchors),
-        notes=tuple(notes),
+    # a projective base in odd real dimension fails the complex
+    # dimension hypothesis of the projectivity statement: left open
+    certified = space.base_kind in ("trivial", "finite") or (
+        space.base_kind == "projective" and (space.complex_dim or 0) >= 2
     )
+    return WreathReport(space, n, pure, full, True if certified else None)
 
 
 # ---------------------------------------------------------------------------

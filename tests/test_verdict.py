@@ -99,10 +99,6 @@ ANCHOR_FIXTURE = {
         'lying in the pulled back character torus is the union over pairs '
         'i < j of the mutually inverse subtori, each of dimension n - 1.'
     ),
-    'pullback-vanishing': (
-        'For 2 <= m <= n the pullback of the top degree cohomology of the '
-        'm-fold surface product to the pure braid group vanishes.'
-    ),
     'ends-extension': (
         'A group that is an extension of a group with infinitely many '
         'ends by a finitely generated group is not Kahler.'
@@ -193,11 +189,6 @@ ANCHOR_FIXTURE = {
         'the braid groups are fundamental groups of smooth projective '
         'varieties, since a wreath product of a projective group by a '
         'finite group acting on a finite faithful set is projective.'
-    ),
-    'coinvariants': (
-        'The first homology of the full braid group maps onto the '
-        'coinvariants of the symmetric group acting on the n-fold sum, '
-        'which is one copy of the factor profile.'
     ),
     'charp-exclusion': (
         'For a prime p > 2, the pro prime-to-p completion of the pure '
@@ -527,15 +518,17 @@ class TestWreath:
         # the coinvariants Z^4 plus the abelianized S_2
         assert facts.full_h1 == AbelianProfile(4, (2,))
         assert facts.projective is True
-        assert "wreath-projective" in facts.anchors
+        # the projectivity is cited only by the verdict's trace
+        assert kahler_verdict(space, 2).trace[-1].anchor == ANCHOR_FIXTURE["wreath-projective"]
 
     def test_trivial_base(self):
-        facts = wreath_facts(SpaceSpec.parse("higher-dim:3"), 4)
+        space = SpaceSpec.parse("higher-dim:3")
+        facts = wreath_facts(space, 4)
         assert facts.pure_h1 == AbelianProfile(0)
         # H_1(S_4) = Z/2
         assert facts.full_h1 == AbelianProfile(0, (2,))
         assert facts.projective is True
-        assert "finite-projective" in facts.anchors
+        assert kahler_verdict(space, 4).trace[-1].anchor == ANCHOR_FIXTURE["finite-projective"]
 
     def test_real_dim_three_other_base_flag_absent(self):
         facts = wreath_facts(SpaceSpec.parse("higher-dim:3:other:2"), 2)
@@ -543,9 +536,9 @@ class TestWreath:
         assert facts.projective is None
 
     def test_odd_dim_projective_base_flag_open(self):
-        facts = wreath_facts(SpaceSpec.parse("higher-dim:5:projective:2"), 2)
-        assert facts.projective is None
-        assert any("left open" in note for note in facts.notes)
+        space = SpaceSpec.parse("higher-dim:5:projective:2")
+        assert wreath_facts(space, 2).projective is None
+        assert kahler_verdict(space, 2).status == OUT_OF_SCOPE
 
     def test_torsion_base_profile(self):
         space = SpaceSpec(
