@@ -64,26 +64,12 @@ def abelianization(p: Presentation) -> AbelianProfile:
 #
 # A coefficient system is either a Character (one dimensional, values
 # zeta_N^e, handled through integer exponents) or a MatrixRep /
-# AdjointRep (rational matrices).
-
-class _Coefficients:
-    """The images of the generators of a matrix coefficient system and
-    of their inverses, as the columns :func:`exactlin._times` reads,
-    assembled once and shared by the Fox Jacobian and H^0.  They come
-    from ``phi.columns``: the cached inverse of a MatrixRep image
-    transposed, the closed-form adjoint of an AdjointRep one read off
-    as columns; no word is evaluated and no matrix is transposed back."""
-
-    __slots__ = ("dim", "images", "inverses")
-
-    def __init__(self, phi):
-        self.dim = phi.dim
-        k = len(phi.alphabet)
-        self.images = [phi.columns(g, 1) for g in range(k)]
-        self.inverses = [phi.columns(g, -1) for g in range(k)]
-
-    def columns(self, g: int, s: int) -> list:
-        return self.images[g] if s == 1 else self.inverses[g]
+# AdjointRep (rational matrices).  A matrix system hands out the images
+# of a generator and of its inverse as the columns
+# :func:`exactlin._times` reads, through ``phi.columns``: a MatrixRep
+# transposes its image or cached inverse, an AdjointRep returns the
+# closed-form columns it built once on construction.  The Fox scan and
+# H^0 both read them there; no word is evaluated for either.
 
 
 def _validate(p: Presentation, phi) -> None:
@@ -105,8 +91,8 @@ class FoxJacobian:
     """The relator derivative matrix of a presentation at a coefficient
     system.
 
-    ``rows`` holds a (num_relators * dim) by (num_generators * dim)
-    matrix; the (r, j) block is the Fox derivative of relator r by
+    ``rows`` holds a (relators * dim) by (generators * dim) matrix,
+    ``ncols`` wide; the (r, j) block is the Fox derivative of relator r by
     generator j, evaluated through the coefficient system.  Its kernel
     is the space of 1-cocycles.  At a character (``order`` N) each entry
     is an element of Z[zeta_N], a mapping from exponents e to integer
@@ -115,20 +101,13 @@ class FoxJacobian:
     where the denominator is 1 and Fractions elsewhere.
     """
 
-    __slots__ = ("rows", "ncols", "num_relators", "num_generators", "dim", "order", "_coeff")
+    __slots__ = ("rows", "ncols", "dim", "order")
 
-    def __init__(self, rows, ncols, num_relators, num_generators, dim, order=None, coeff=None):
+    def __init__(self, rows, ncols, dim, order=None):
         self.rows = rows
         self.ncols = ncols
-        self.num_relators = num_relators
-        self.num_generators = num_generators
         self.dim = dim
         self.order = order
-        self._coeff = coeff
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), self.ncols)
 
     def rank(self, upper: Optional[int] = None) -> int:
         """Exact rank, taken over F_q by ``cyclotomic.certified_rank``:
@@ -180,68 +159,71 @@ def _character_blocks(word, exps, order: int, k: int) -> list[dict]:
     return [{x: c for x, c in d.items() if c} for d in deriv]
 
 
-def _fox_blocks(word, coeff: _Coefficients, k: int) -> list[list[list]]:
+def _fox_blocks(word, phi, k: int) -> list[list[list]]:
     """Evaluated Fox derivatives of ``word`` by all k generators at a
     matrix representation; the same prefix scan on plain row lists."""
-    d = coeff.dim
+    d = phi.dim
+    columns = phi.columns
     prefix = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
     deriv = [[[0] * d for _ in range(d)]] * k
     for g, s in word.letters:
         if s == 1:
             deriv[g] = [[a + b for a, b in zip(r, p)] for r, p in zip(deriv[g], prefix)]
-            prefix = _times(prefix, coeff.columns(g, 1))
+            prefix = _times(prefix, columns(g, 1))
         else:
-            prefix = _times(prefix, coeff.columns(g, -1))
+            prefix = _times(prefix, columns(g, -1))
             deriv[g] = [[a - b for a, b in zip(r, p)] for r, p in zip(deriv[g], prefix)]
     return deriv
 
 
-def fox_jacobian(p: Presentation, phi, validated: bool = False) -> FoxJacobian:
+def fox_jacobian(p: Presentation, phi) -> FoxJacobian:
     """Assemble the Fox Jacobian of ``p`` at the coefficient system
-    ``phi`` (Character, MatrixRep, or AdjointRep)."""
+    ``phi`` (Character, MatrixRep, or AdjointRep).
+
+    Only the alphabets are checked: the relators need not hold at
+    ``phi``, and Fox calculus on a single word at an arbitrary
+    coefficient system is well defined.  The dimensions built on the
+    Jacobian (``h0_dim``, ``h1_dim``, ``tangent_dim_at``) check the
+    relators themselves."""
     if phi.alphabet != p.alphabet:
         raise InputError("coefficient alphabet does not match the presentation")
-    if not validated:
-        _validate(p, phi)
     k = p.num_generators
     if isinstance(phi, Character):
         rows = [
             _character_blocks(rel, phi.exponents, phi.order, k) for rel in p.relators
         ]
-        return FoxJacobian(rows, k, p.num_relators, k, 1, order=phi.order)
-    coeff = _Coefficients(phi)
-    d = coeff.dim
+        return FoxJacobian(rows, k, 1, order=phi.order)
+    d = phi.dim
     rows: list[list] = []
     for rel in p.relators:
-        blocks = _fox_blocks(rel, coeff, k)
+        blocks = _fox_blocks(rel, phi, k)
         for i in range(d):
             row = []
             for b in blocks:
                 row.extend(b[i])
             rows.append(row)
     rows = _exact_rows(rows)
-    return FoxJacobian(rows, k * d, p.num_relators, k, d, coeff=coeff)
+    return FoxJacobian(rows, k * d, d)
 
 
 # ---------------------------------------------------------------------------
 # dimensions
 
-def _h0_unchecked(p: Presentation, phi, coeff: Optional[_Coefficients] = None) -> int:
+def _h0_unchecked(p: Presentation, phi) -> int:
     if isinstance(phi, Character):
         return 1 if phi.is_trivial else 0
-    if coeff is None:
-        coeff = _Coefficients(phi)
     k = p.num_generators
-    d = coeff.dim
+    d = phi.dim
     if k == 0:
         return d
     # the invariants are the joint kernel of the phi(g) - I, whose
     # stacked rank is that of its d x kd transpose: row i holds column i
     # of every phi(g) - I, read straight off the columns
+    images = [phi.columns(g, 1) for g in range(k)]
     rows = []
     for i in range(d):
         row = []
-        for cols in coeff.images:
+        for cols in images:
             row.extend(cols[i])
         for j in range(i, k * d, d):
             row[j] -= 1
@@ -272,8 +254,8 @@ def h1_dim(p: Presentation, phi) -> int:
     with the bound k*d - (d - h0).
     """
     _validate(p, phi)
-    jac = fox_jacobian(p, phi, validated=True)
-    h0 = _h0_unchecked(p, phi, jac._coeff)
+    jac = fox_jacobian(p, phi)
+    h0 = _h0_unchecked(p, phi)
     d = jac.dim
     rank = jac.rank(upper=jac.ncols - (d - h0))
     return (jac.ncols - rank) - (d - h0)
@@ -322,9 +304,8 @@ def surface_profile(g: int, chi: Character) -> CohomologyProfile:
     if g < 1:
         raise OutOfRangeError("surface profiles need genus at least 1")
     p = surface_presentation(g)
-    _validate(p, chi)
-    h0 = _h0_unchecked(p, chi)
     h1 = h1_dim(p, chi)
+    h0 = _h0_unchecked(p, chi)
     h2 = _h0_unchecked(p, chi.inverse())
     euler = h0 - h1 + h2
     assert euler == 2 * (1 - g), "euler characteristic drifted from 2(1-g)"
@@ -386,9 +367,9 @@ def tangent_dim_at(p: Presentation, rho: MatrixRep) -> TangentReport:
     trace zero matrices."""
     _validate(p, rho)
     ad = rho.adjoint_rep()
-    jac = fox_jacobian(p, ad, validated=True)
+    jac = fox_jacobian(p, ad)
     z1 = jac.nullity()
-    h0_ad = _h0_unchecked(p, ad, jac._coeff)
+    h0_ad = _h0_unchecked(p, ad)
     h1 = z1 - (ad.dim - h0_ad)
     return TangentReport(z1, h1, h0_ad)
 

@@ -26,8 +26,8 @@ from typing import Iterable, Sequence
 class IntMatrix:
     """A dense integer matrix stored as a list of row lists.
 
-    Rows are owned by the matrix; callers should treat instances as
-    immutable and use :meth:`copy` before mutating.
+    Rows are owned by the matrix and are plain mutable lists, so an
+    instance is not hashable; callers that mutate copy the rows first.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
@@ -62,15 +62,6 @@ class IntMatrix:
             rows[i][i] = 1
         return cls(rows, ncols=n)
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix([r[:] for r in self.rows], ncols=self.ncols)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
@@ -82,20 +73,15 @@ class IntMatrix:
     def __repr__(self) -> str:
         return "IntMatrix(%r)" % (self.rows,)
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(map(tuple, self.rows))))
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError(
                 "shape mismatch: %dx%d @ %dx%d"
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
-        bt = other.transpose().rows
-        out = []
-        for row in self.rows:
-            out.append([sum(a * b for a, b in zip(row, col)) for col in bt])
-        return IntMatrix(out, ncols=other.ncols)
+        # with no rows to zip, ``other`` still has ncols empty columns
+        cols = list(zip(*other.rows)) or [()] * other.ncols
+        return IntMatrix(_times(self.rows, cols), ncols=other.ncols)
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,6 @@ class E2Fragment:
     rank01: int
     rank20: int
     d2: tuple[dict[int, int], ...]
-    coefficients: str = "trivial"
 
 
 def e2_trivial(g: int, n: int) -> E2Fragment:
@@ -131,16 +130,13 @@ def e2_trivial(g: int, n: int) -> E2Fragment:
 class B1Report:
     """First Betti number of a pure braid group with the differential
     data backing it: the free rank, the torsion of the differential's
-    cokernel, the differential's rank and full divisor list, and any
-    honesty flags about what is asserted versus merely computed."""
+    cokernel, the differential's full divisor list (its length is the
+    differential's rank), and any honesty flags about what is asserted
+    versus merely computed."""
 
-    space: SpaceSpec
-    n: int
     free_rank: int
     torsion: tuple[int, ...]
-    d2_rank: int
     divisors: tuple[int, ...]
-    ranks: tuple[int, int, int]
     flags: tuple[str, ...] = ()
     anchors: tuple[str, ...] = ()
 
@@ -152,69 +148,40 @@ def b1_pure_braid(space: SpaceSpec, n: int) -> B1Report:
     if kind == "genus":
         frag = e2_trivial(space.genus, n)
         divisors = column_divisors(frag.d2)
-        rank = len(divisors)
-        assert rank == frag.rank01, "pair differential lost injectivity"
+        assert len(divisors) == frag.rank01, "pair differential lost injectivity"
         assert set(divisors) <= {1}, "pair differential cokernel grew torsion"
         return B1Report(
-            space,
-            n,
-            frag.rank10,
-            (),
-            rank,
-            divisors,
-            (frag.rank10, frag.rank01, frag.rank20),
-            anchors=("pure-braid-h1-surface", "d2-injective"),
+            frag.rank10, (), divisors, anchors=("pure-braid-h1-surface", "d2-injective")
         )
     if kind == "sphere":
+        # at n = 2 the one pair column has divisor 1, so the free rank
+        # and the torsion come out 0 and () by the same count
         frag = e2_trivial(0, n)
         divisors = column_divisors(frag.d2)
-        rank = len(divisors)
-        torsion = tuple(d for d in divisors if d > 1)
         if n == 2:
-            return B1Report(
-                space,
-                n,
-                0,
-                (),
-                rank,
-                divisors,
-                (0, frag.rank01, frag.rank20),
-                flags=(
-                    "the two strand configuration space of the sphere is "
-                    "simply connected, so the first Betti number is 0",
-                ),
-                anchors=("diagonal-class-g0",),
+            flag = (
+                "the two strand configuration space of the sphere is "
+                "simply connected, so the first Betti number is 0"
             )
-        free = frag.rank01 - rank
-        return B1Report(
-            space,
-            n,
-            free,
-            torsion,
-            rank,
-            divisors,
-            (0, frag.rank01, frag.rank20),
-            flags=(
+            anchors = ("diagonal-class-g0",)
+        else:
+            flag = (
                 "the torsion list is the computed cokernel of the pair "
-                "differential; only the free rank is asserted in closed form",
-            ),
-            anchors=("sphere-h1-rank", "sphere-h1-torsion"),
+                "differential; only the free rank is asserted in closed form"
+            )
+            anchors = ("sphere-h1-rank", "sphere-h1-torsion")
+        return B1Report(
+            frag.rank01 - len(divisors),
+            tuple(d for d in divisors if d > 1),
+            divisors,
+            flags=(flag,),
+            anchors=anchors,
         )
     if kind == "c-star":
         # the differential vanishes: the pair classes and the diagonal
         # classes sit in different weights of the mixed structure, so
         # the n factor classes and the C(n,2) pair classes all survive
-        pairs = n * (n - 1) // 2
-        return B1Report(
-            space,
-            n,
-            n + pairs,
-            (),
-            0,
-            (),
-            (n, pairs, pairs),
-            anchors=("cstar-h1-rank",),
-        )
+        return B1Report(n + n * (n - 1) // 2, (), (), anchors=("cstar-h1-rank",))
     raise OutOfScopeError(
         "first Betti reports cover the sphere, closed genus g >= 1 surfaces, "
         "and the once punctured plane; got %r" % kind

@@ -59,20 +59,18 @@ class Presentation:
     """A finite presentation: an alphabet plus freely reduced relators.
 
     Instances are immutable.  ``source`` carries free-text provenance for
-    externally loaded files, ``warnings`` flags degenerate constructions
-    (only the genus zero surface uses it), and ``product_factors`` is
-    populated by :func:`product_presentation` so downstream code can split
-    a character on the product back into factor characters.
+    externally loaded files, and ``product_factors`` is populated by
+    :func:`product_presentation` so downstream code can split a character
+    on the product back into factor characters.
     """
 
-    __slots__ = ("alphabet", "relators", "source", "warnings", "product_factors")
+    __slots__ = ("alphabet", "relators", "source", "product_factors")
 
     def __init__(
         self,
         alphabet: Alphabet,
         relators: Iterable[Word] = (),
         source: str | None = None,
-        warnings: Iterable[str] = (),
         product_factors=None,
     ):
         relators = tuple(relators)
@@ -83,7 +81,6 @@ class Presentation:
         self.alphabet = alphabet
         self.relators = relators
         self.source = source
-        self.warnings = tuple(warnings)
         self.product_factors = product_factors
 
     @property
@@ -95,7 +92,7 @@ class Presentation:
         return len(self.relators)
 
     def __eq__(self, other) -> bool:
-        # provenance and warnings do not affect identity of the group data
+        # provenance does not affect identity of the group data
         return (
             isinstance(other, Presentation)
             and self.alphabet == other.alphabet
@@ -120,17 +117,13 @@ def surface_presentation(g: int) -> Presentation:
     """Closed orientable genus g surface group.
 
     One relator, the product of the g handle commutators.  Genus zero
-    yields the trivial group: an empty presentation with a warning flag
-    instead of an error, so space descriptors stay uniform downstream.
+    yields the trivial group, an empty presentation, instead of an error,
+    so space descriptors stay uniform downstream.
     """
     if g < 0:
         raise InputError("genus must be nonnegative, got %d" % g)
     if g == 0:
-        return Presentation(
-            Alphabet(()),
-            (),
-            warnings=("genus zero surface group is trivial",),
-        )
+        return Presentation(Alphabet(()))
     if g == 1:
         alphabet = Alphabet(("a", "b"))
     else:
@@ -302,13 +295,7 @@ def product_presentation(*factors: Presentation) -> Presentation:
             for a in range(offsets[ka], offsets[ka] + len(factors[ka].alphabet)):
                 for b in range(offsets[kb], offsets[kb] + len(factors[kb].alphabet)):
                     relators.append(Word(((a, 1), (b, 1), (a, -1), (b, -1))))
-    warnings = tuple(w for p in factors for w in p.warnings)
-    return Presentation(
-        alphabet,
-        relators,
-        warnings=warnings,
-        product_factors=tuple(zip(offsets, factors)),
-    )
+    return Presentation(alphabet, relators, product_factors=tuple(zip(offsets, factors)))
 
 
 # Catalog ids arrive from the command line, so their sizes are bounded
@@ -500,10 +487,6 @@ class Character:
     # -- structure
 
     @property
-    def dim(self) -> int:
-        return 1
-
-    @property
     def is_trivial(self) -> bool:
         return not any(self.exponents)
 
@@ -668,9 +651,6 @@ class CharacterTuple:
             (a + b) % n
             for a, b in zip(self.components[i].exponents, self.components[j].exponents)
         )
-
-    def inverse(self) -> "CharacterTuple":
-        return CharacterTuple(c.inverse() for c in self.components)
 
     def __eq__(self, other) -> bool:
         return (
@@ -880,18 +860,22 @@ class AdjointRep:
 
     For a d dimensional representation this is a (d^2 - 1) dimensional
     rational representation; its cohomology computes tangent spaces of
-    character varieties at the underlying point.  The images of a
-    generator and of its inverse are read off the entries of the
-    underlying image and its cached inverse (see :func:`_adjoint_columns`);
-    no word is evaluated for either, and ``columns`` hands the Fox scan
-    the columns it reads without building a matrix.
+    character varieties at the underlying point.  The columns of the
+    image of each generator and of its inverse are read off the entries
+    of the underlying image and its cached inverse (see
+    :func:`_adjoint_columns`), once, on construction; no word is
+    evaluated for either, and ``columns`` hands the Fox scan and H^0 the
+    columns they read without building a matrix.
     """
 
-    __slots__ = ("rep", "dim")
+    __slots__ = ("rep", "dim", "_images", "_inverses")
 
     def __init__(self, rep: MatrixRep):
         self.rep = rep
         self.dim = rep.dim * rep.dim - 1
+        pairs = [(a, rep.inverse_image(g)) for g, a in enumerate(rep.images)]
+        self._images = [_adjoint_columns(a, ainv) for a, ainv in pairs]
+        self._inverses = [_adjoint_columns(ainv, a) for a, ainv in pairs]
 
     @property
     def alphabet(self) -> Alphabet:
@@ -909,9 +893,8 @@ class AdjointRep:
 
     def columns(self, gen: int, sign: int) -> list:
         """The columns of the image of the generator (``sign`` 1) or of
-        its inverse (``sign`` -1)."""
-        a, ainv = self.rep.images[gen], self.rep.inverse_image(gen)
-        return _adjoint_columns(a, ainv) if sign == 1 else _adjoint_columns(ainv, a)
+        its inverse (``sign`` -1), built once on construction."""
+        return self._images[gen] if sign == 1 else self._inverses[gen]
 
 
 def validate_matrix_rep(p: Presentation, rep) -> CharacterCheck:

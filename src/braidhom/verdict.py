@@ -439,8 +439,6 @@ def kahler_verdict(space: SpaceSpec, n: int, flavor: str = "pure") -> Verdict:
 class WreathReport:
     """Product and wreath structure of braid groups in real dimension >= 3."""
 
-    space: SpaceSpec
-    n: int
     pure_h1: AbelianProfile
     full_h1: AbelianProfile
     projective: Optional[bool]
@@ -490,7 +488,7 @@ def wreath_facts(space: SpaceSpec, n: int) -> WreathReport:
     certified = space.base_kind in ("trivial", "finite") or (
         space.base_kind == "projective" and (space.complex_dim or 0) >= 2
     )
-    return WreathReport(space, n, pure, full, True if certified else None)
+    return WreathReport(pure, full, True if certified else None)
 
 
 # ---------------------------------------------------------------------------

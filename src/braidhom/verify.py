@@ -93,7 +93,7 @@ def _random_word(rng: random.Random, num_gens: int, max_len: int):
 
 def _fox_identity_character(w, chi: Character) -> bool:
     """The identity in Z[Z/N] on the exponent maps of the Jacobian row."""
-    jac = fox_jacobian(Presentation(chi.alphabet, (w,)), chi, validated=True)
+    jac = fox_jacobian(Presentation(chi.alphabet, (w,)), chi)
     n = chi.order
     total = [0] * n  # coefficient of each zeta^e, starting from 1 - chi(w)
     total[0] += 1
@@ -107,7 +107,7 @@ def _fox_identity_character(w, chi: Character) -> bool:
 
 def _fox_identity_matrix(w, rho: MatrixRep) -> bool:
     """The identity over Q on the d x d blocks of the Jacobian."""
-    jac = fox_jacobian(Presentation(rho.alphabet, (w,)), rho, validated=True)
+    jac = fox_jacobian(Presentation(rho.alphabet, (w,)), rho)
     d = rho.dim
     one = QMat.identity(d)
     total = one - rho.word_value(w)
@@ -468,7 +468,7 @@ def _tangent_by_elimination(pres: Presentation, rho: MatrixRep) -> tuple[int, in
         [_adjoint_by_conjugation(rho.image(g), rho.inverse_image(g)) for g in range(k)],
         flavor="GL",
     )
-    jac = fox_jacobian(pres, ad, validated=True)
+    jac = fox_jacobian(pres, ad)
     z1 = jac.ncols - rank_kernel(jac.rows, jac.ncols, Fraction(1))[0]
     ident = QMat.identity(ad.dim)
     moves = [row for g in range(pres.num_generators) for row in (ad.image(g) - ident).rows]

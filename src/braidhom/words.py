@@ -137,23 +137,19 @@ class Word:
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
 
 
-def free_reduce(letters: Sequence[Letter], alphabet: Alphabet | None = None) -> Word:
+def free_reduce(letters: Sequence[Letter]) -> Word:
     """Freely reduce a raw letter sequence into a :class:`Word`.
 
-    Every letter is validated first; cancellation is then done with a
-    stack in one pass, so the result carries no ``x x^-1`` pairs.  When
-    ``alphabet`` is given, letter indices are validated against it.
+    Every letter's sign and index are checked first; cancellation is
+    then done with a stack in one pass, so the result carries no
+    ``x x^-1`` pairs.  Indices are checked against an alphabet where the
+    word meets one, in :meth:`Alphabet.check_word`.
     """
-    k = len(alphabet) if alphabet is not None else None
     for g, s in letters:
         if s not in (1, -1):
             raise ValueError("letter sign must be +1 or -1, got %r" % (s,))
         if not isinstance(g, int) or g < 0:
             raise AlphabetMismatchError("letter index must be a nonnegative int")
-        if k is not None and g >= k:
-            raise AlphabetMismatchError(
-                "letter index %d outside alphabet of size %d" % (g, k)
-            )
     return _push_reduced([], letters)
 
 

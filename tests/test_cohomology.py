@@ -184,7 +184,7 @@ class TestFoxJacobian:
     def test_character_shape(self):
         p = surface_presentation(2)
         jac = fox_jacobian(p, Character(p.alphabet, 3, {"a1": 1}))
-        assert jac.shape == (1, 4)
+        assert (len(jac.rows), jac.ncols) == (1, 4)
         assert jac.rank() == 1
 
     def test_trivial_character_jacobian_vanishes(self):
@@ -198,14 +198,35 @@ class TestFoxJacobian:
             p.alphabet, [QMat([[2, 0], [0, "1/2"]]), QMat.identity(2)], flavor="GL"
         )
         jac = fox_jacobian(p, rep)
-        assert jac.shape == (2, 4)
+        assert (len(jac.rows), jac.ncols) == (2, 4)
         assert jac.dim == 2
 
     def test_free_presentation_empty_jacobian(self):
         p = free_presentation(3)
         jac = fox_jacobian(p, Character(p.alphabet, 4, {"b": 2}))
-        assert jac.shape == (0, 3)
+        assert (len(jac.rows), jac.ncols) == (0, 3)
         assert jac.nullity() == 3
+
+    def test_only_the_dimensions_check_relators(self):
+        # fox_jacobian differentiates whatever it is given; the relators
+        # are checked by the dimensions built on it
+        p = parse_presentation("gens: a\nrel: a a a")
+        chi = Character(p.alphabet, 4, {"a": 1})
+        assert fox_jacobian(p, chi).rows == [[{0: 1, 1: 1, 2: 1}]]
+        with pytest.raises(PreconditionError):
+            h0_dim(p, chi)
+        with pytest.raises(PreconditionError):
+            h1_dim(p, chi)
+        # a and b do not commute, so the genus one relator fails; a
+        # character never fails it, so surface_profile is reached with a
+        # matrix representation, and the check it relies on is h1_dim's
+        torus = surface_presentation(1)
+        rho = MatrixRep(torus.alphabet, [QMat([[1, 1], [0, 1]]), QMat([[1, 0], [1, 1]])])
+        assert fox_jacobian(torus, rho).ncols == 4
+        with pytest.raises(PreconditionError):
+            tangent_dim_at(torus, rho)
+        with pytest.raises(PreconditionError):
+            surface_profile(1, rho)
 
 
 class TestKunneth:

@@ -123,7 +123,7 @@ class TestSmithNormalForm:
     @given(small_matrices, st.randoms(use_true_random=False))
     def test_invariant_under_unimodular_moves(self, a, rng):
         # Row and column shears must not change the divisors.
-        b = a.copy()
+        b = IntMatrix([r[:] for r in a.rows], ncols=a.ncols)
         for _ in range(4):
             if b.nrows >= 2:
                 i, j = rng.sample(range(b.nrows), 2)

@@ -74,11 +74,10 @@ class TestCatalogSurfaces:
                 product = product * commutator(generator_word(2 * i), generator_word(2 * i + 1))
             assert surface_presentation(g).relators == (product,)
 
-    def test_surface_zero_warns(self):
+    def test_surface_zero_is_trivial(self):
         p = surface_presentation(0)
         assert p.num_generators == 0
         assert p.num_relators == 0
-        assert p.warnings
 
     def test_surface_negative_rejected(self):
         with pytest.raises(InputError):

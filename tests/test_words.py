@@ -38,7 +38,7 @@ class TestFreeReduction:
 
     def test_rejects_out_of_alphabet(self):
         with pytest.raises(AlphabetMismatchError):
-            free_reduce([(7, 1)], alphabet=AB)
+            Presentation(AB, [free_reduce([(7, 1)])])
 
     @given(raw_letters)
     def test_idempotent(self, raw):
@@ -163,7 +163,7 @@ def fox_row(w, chi):
     if w.is_identity:
         return [{} for _ in chi.exponents]
     p = Presentation(chi.alphabet, (w,))
-    return fox_jacobian(p, chi, validated=True).rows[0]
+    return fox_jacobian(p, chi).rows[0]
 
 
 def ring_add(*terms):
