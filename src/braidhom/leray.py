@@ -31,11 +31,11 @@ from .presentations import Character, CharacterTuple, SpaceSpec, _pair_list, cat
 # before anything is built: it caps the nonzero entries of the pair
 # differential, the components of a jump locus and the index pairs of a
 # character tuple.  At 2 * 10^5 nonzeros (genus:2 admits n <= 258) the
-# Smith form of the sparse pair differential takes about 0.13 s for
-# genus >= 1 and 0.85 s for the sphere in process.  End to end in a
-# fresh process on a 2-core VM, `b1` takes 0.33 s and 43 MiB peak RSS at
-# genus:2 n=258, 0.31 s and 43 MiB at genus:1 n=316, and 1.0 s and
-# 111 MiB at sphere n=447.
+# Smith form of the sparse pair differential takes about 0.05 s for
+# genus >= 1 and 0.3 s for the sphere in process.  End to end in a
+# fresh process on a 2-core VM (scripts/b1_edges.py), `b1` takes 0.2 s
+# and 43 MiB peak RSS at genus:2 n=258 and at genus:1 n=316, and 0.5 s
+# and 90 MiB at sphere n=447.
 _SIZE_LIMIT = 200_000
 
 
@@ -111,15 +111,18 @@ def e2_trivial(g: int, n: int) -> E2Fragment:
     diag = diagonal_class(g)
     pairs = _pair_list(n)
     rank10 = h * n
-    rank20 = n + rank01 * h * h
+    step = h * h
+    rank20 = n + rank01 * step
     block = [(a * h + b, v) for a, b, v in diag.block]
+    e1, e2 = diag.e1, diag.e2
     d2 = []
-    for c, (i, j) in enumerate(pairs):
-        col = {i: diag.e1, j: diag.e2}
-        off = n + c * h * h
+    off = n
+    for i, j in pairs:
+        col = {i: e1, j: e2}
         for k, v in block:
             col[off + k] = v
         d2.append(col)
+        off += step
     return E2Fragment(g, n, rank10, rank01, rank20, tuple(d2))
 
 

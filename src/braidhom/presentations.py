@@ -865,7 +865,8 @@ class AdjointRep:
     of the underlying image and its cached inverse (see
     :func:`_adjoint_columns`), once, on construction; no word is
     evaluated for either, and ``columns`` hands the Fox scan and H^0 the
-    columns they read without building a matrix.
+    columns they read without building a matrix.  ``image`` and
+    ``inverse_image`` wrap the same columns as matrices.
     """
 
     __slots__ = ("rep", "dim", "_images", "_inverses")
@@ -886,10 +887,14 @@ class AdjointRep:
         return _adjoint(rep.word_value(w), rep.word_value(w.inverse()))
 
     def image(self, gen: int | str) -> QMat:
-        return _adjoint(self.rep.image(gen), self.rep.inverse_image(gen))
+        """Ad of the generator, as the columns built on construction."""
+        i = gen if isinstance(gen, int) else self.alphabet.index_of(gen)
+        return QMat.from_exact(zip(*self._images[i]))
 
     def inverse_image(self, gen: int | str) -> QMat:
-        return _adjoint(self.rep.inverse_image(gen), self.rep.image(gen))
+        """Ad of the inverse generator, as the columns built on construction."""
+        i = gen if isinstance(gen, int) else self.alphabet.index_of(gen)
+        return QMat.from_exact(zip(*self._inverses[i]))
 
     def columns(self, gen: int, sign: int) -> list:
         """The columns of the image of the generator (``sign`` 1) or of

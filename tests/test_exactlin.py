@@ -64,6 +64,37 @@ small_matrices = st.integers(min_value=0, max_value=4).flatmap(
     )
 )
 
+# One column per edge of a multigraph on 8 vertices: two entries, both 1
+# or of opposite signs, or a loop holding +-2 alone.  Edges may repeat,
+# and a column may carry a stored zero in a third row.
+_edges = st.lists(
+    st.tuples(
+        st.integers(0, 7),
+        st.integers(0, 7),
+        st.sampled_from(((1, 1), (-1, -1), (1, -1), (-1, 1))),
+        st.one_of(st.none(), st.integers(0, 7)),
+    ),
+    max_size=24,
+)
+
+
+def _incidence_columns(edges) -> list[dict[int, int]]:
+    columns = []
+    for a, b, (s, t), zero in edges:
+        col = {a: 2 * s} if a == b else {a: s, b: t}
+        if zero is not None:
+            col.setdefault(zero, 0)
+        columns.append(col)
+    return columns
+
+
+def _dense(columns, m: int) -> IntMatrix:
+    a = IntMatrix.zeros(m, len(columns))
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            a.rows[i][j] = v
+    return a
+
 
 class TestSmithNormalForm:
     def test_frozen_example_two_by_two(self):
@@ -161,6 +192,18 @@ class _PatternWatch(dict):
         if k not in self.pattern:
             self.fill.add(k)
         super().__setitem__(k, v)
+
+
+class _PopCount(dict):
+    """A sparse column that counts the entries popped from it."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.pops = 0
+
+    def pop(self, *args):
+        self.pops += 1
+        return super().pop(*args)
 
 
 class TestSparseFrontEnd:
@@ -338,8 +381,9 @@ class TestColumnDivisors:
 
     def test_cascade_in_column_order_leaves_the_queue_nothing(self, monkeypatch):
         # column k has its unit in the row it shares with column k - 1,
-        # so each leaves only after the one before it; in reverse order
-        # the pass takes the last column only and the queue the rest
+        # so each leaves only after the one before it and the queue is
+        # never entered; in reverse order the pass takes the last column
+        # only and the queue the rest
         seen = []
 
         def spy(columns):
@@ -349,7 +393,7 @@ class TestColumnDivisors:
         monkeypatch.setattr(exactlin, "_sparse_columns", spy)
         chain = [{0: 1, 1: 2}] + [{k: -1, k + 1: 3} for k in range(1, 6)]
         assert column_divisors(chain) == (1,) * 6
-        assert seen == [[]]
+        assert seen == []
         seen.clear()
         assert column_divisors(chain[::-1]) == (1,) * 6
         assert seen == [chain[:0:-1]]
@@ -359,6 +403,42 @@ class TestColumnDivisors:
         seen.clear()
         assert column_divisors(blocked) == (1,) * 6
         assert seen == [blocked]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_edges, st.randoms(use_true_random=False))
+    def test_multigraph_incidence_matches_dense_engine(self, edges, rng):
+        # two-entry unit columns tie often here, so the hub tie-break is
+        # taken, in the drawn column order and in a shuffled one
+        columns = _incidence_columns(edges)
+        expected = smith_normal_form(_dense(columns, 8)).divisors
+        shuffled = columns[:]
+        rng.shuffle(shuffled)
+        for cols in (columns, shuffled):
+            before = [dict(c) for c in cols]
+            assert column_divisors(cols) == expected
+            assert cols == before
+
+    @pytest.mark.parametrize("n", range(3, 31))
+    def test_complete_graph_in_shuffled_orders(self, n):
+        # the sphere's pair differential: every pivot column holds two
+        # entries, so every tie goes to the hub tie-break, which sends all
+        # fill-in to one row; each of the n - 1 pivot rows then still
+        # holds n - 1 entries and updates the other n - 2 columns
+        columns = [{a: 1, b: 1} for a, b in combinations(range(n), 2)]
+        expected = smith_normal_form(_dense(columns, n)).divisors
+        assert expected == (1,) * (n - 1) + (2,)
+        rng = random.Random(n)
+        for _ in range(3):
+            rng.shuffle(columns)
+            before = [dict(c) for c in columns]
+            assert column_divisors(columns) == expected
+            assert columns == before
+            cols, row_index = _sparse_columns(columns)
+            counted = {j: _PopCount(col) for j, col in cols.items()}
+            cols.update(counted)
+            assert _eliminate_units(cols, row_index) == n - 1
+            # the pivot row leaves each pivot column and each updated one
+            assert sum(c.pops for c in counted.values()) == (n - 1) ** 2
 
     @settings(max_examples=100, deadline=None)
     @given(small_matrices)

@@ -143,7 +143,7 @@ class TestE2Fragment:
     @pytest.mark.parametrize("n", range(2, 21))
     def test_private_row_pass_takes_every_column(self, g, n, monkeypatch):
         # each column's first private row is a unit of count 1, so the
-        # pass takes every column and the bucket queue receives none
+        # pass takes every column and the bucket queue is never entered
         seen = []
 
         def spy(columns):
@@ -152,7 +152,7 @@ class TestE2Fragment:
 
         monkeypatch.setattr(exactlin, "_sparse_columns", spy)
         assert column_divisors(e2_trivial(g, n).d2) == (1,) * (n * (n - 1) // 2)
-        assert seen == [[]]
+        assert seen == []
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_sphere_has_no_private_rows(self, n, monkeypatch):
