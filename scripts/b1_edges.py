@@ -4,17 +4,15 @@
 Runs ``python -m braidhom b1`` at the largest strand count the size
 bound admits for ``genus:2`` (n = 258), ``genus:1`` (n = 316) and the
 sphere (n = 447), each run in a fresh process on the ``src`` tree of
-this checkout, and prints per argv the median wall time from spawn to
-exit and the median peak RSS of the child itself (``os.wait4``):
+this checkout, five runs per argv, and prints per argv the median wall
+time from spawn to exit and the median peak RSS of the child itself
+(``os.wait4``):
 
-    python3 scripts/b1_edges.py               # 3 runs per argv
-    python3 scripts/b1_edges.py --repeat 5 --json
+    python3 scripts/b1_edges.py
 
 A run that exits nonzero stops the script with its stderr and status 1.
 """
 
-import argparse
-import json
 import os
 import pathlib
 import statistics
@@ -26,6 +24,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 EDGES = (("genus:2", 258), ("genus:1", 316), ("sphere", 447))
+REPEAT = 5
 
 
 def run_once(argv, env):
@@ -44,31 +43,18 @@ def run_once(argv, env):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--repeat", type=int, default=3, help="runs per argv (default 3)")
-    ap.add_argument("--json", action="store_true", help="print one JSON list")
-    args = ap.parse_args()
-    if args.repeat < 1:
-        ap.error("--repeat must be at least 1")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
     )
-    rows = []
     for space, n in EDGES:
         argv = [sys.executable, "-m", "braidhom", "b1", "--space", space, "--n", str(n)]
-        runs = [run_once(argv, env) for _ in range(args.repeat)]
-        rows.append({
-            "argv": "b1 --space %s --n %d" % (space, n),
-            "wall_s": round(statistics.median(w for w, _ in runs), 3),
-            "peak_rss_mib": round(statistics.median(r for _, r in runs), 1),
-            "runs": args.repeat,
-        })
-    if args.json:
-        print(json.dumps(rows, indent=1))
-        return
-    for row in rows:
-        print("%-28s %7.3f s %7.1f MiB" % (row["argv"], row["wall_s"], row["peak_rss_mib"]))
+        runs = [run_once(argv, env) for _ in range(REPEAT)]
+        print("%-28s %7.3f s %7.1f MiB" % (
+            "b1 --space %s --n %d" % (space, n),
+            statistics.median(w for w, _ in runs),
+            statistics.median(r for _, r in runs),
+        ))
 
 
 if __name__ == "__main__":
