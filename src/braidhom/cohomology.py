@@ -31,7 +31,6 @@ from .cyclotomic import certified_rank
 from .errors import InputError, OutOfRangeError, PreconditionError
 from .exactlin import AbelianProfile, IntMatrix, QMat, cokernel_profile, _exact_rows, _times
 from .presentations import (
-    AdjointRep,
     Character,
     CharacterTuple,
     MatrixRep,
@@ -63,13 +62,12 @@ def abelianization(p: Presentation) -> AbelianProfile:
 # coefficient systems
 #
 # A coefficient system is either a Character (one dimensional, values
-# zeta_N^e, handled through integer exponents) or a MatrixRep /
-# AdjointRep (rational matrices).  A matrix system hands out the images
-# of a generator and of its inverse as the columns
-# :func:`exactlin._times` reads, through ``phi.columns``: a MatrixRep
-# transposes its image or cached inverse, an AdjointRep returns the
-# closed-form columns it built once on construction.  The Fox scan and
-# H^0 both read them there; no word is evaluated for either.
+# zeta_N^e, handled through integer exponents) or a MatrixRep (rational
+# matrices, the adjoint action included).  A MatrixRep hands out the
+# images of a generator and of its inverse as the columns
+# :func:`exactlin._times` reads, through ``phi.columns``, built once on
+# construction.  The Fox scan and H^0 both read them there; no word is
+# evaluated for either.
 
 
 def _validate(p: Presentation, phi) -> None:
@@ -178,7 +176,7 @@ def _fox_blocks(word, phi, k: int) -> list[list[list]]:
 
 def fox_jacobian(p: Presentation, phi) -> FoxJacobian:
     """Assemble the Fox Jacobian of ``p`` at the coefficient system
-    ``phi`` (Character, MatrixRep, or AdjointRep).
+    ``phi`` (Character or MatrixRep).
 
     Only the alphabets are checked: the relators need not hold at
     ``phi``, and Fox calculus on a single word at an arbitrary
@@ -475,9 +473,9 @@ def random_surface_sl2(
 ) -> MatrixRep:
     """Random integer SL2 representation of the closed genus g surface
     group, exact by construction.  ``presentation`` is the genus g
-    surface presentation if the caller already holds one; the images are
-    checked against its relator, and the presentation is built here only
-    when none is given.
+    surface presentation if the caller already holds one, and names the
+    generators; it is built here only when none is given.  The relator
+    is not evaluated here: :func:`tangent_dim_at` checks it.
 
     Handles are filled in pairs: a pair (X, Y) of products of
     elementary matrices on one handle, and its conjugate mirror
@@ -513,6 +511,4 @@ def random_surface_sl2(
         images.extend([w, w2])
         inverses.extend([winv, _adjugate(w2)])
     p = surface_presentation(g) if presentation is None else presentation
-    rep = MatrixRep(p.alphabet, images, flavor="SL", inverses=inverses)
-    assert validate_matrix_rep(p, rep), "sampler emitted a non-representation"
-    return rep
+    return MatrixRep(p.alphabet, images, flavor="SL", inverses=inverses)

@@ -10,10 +10,10 @@ pins the derived table.
 
 Representation objects come in two flavours: one dimensional characters
 with values zeta_N^e, stored as integer exponents, and rational matrix
-representations with their adjoint actions.  The Fox calculus in
-:mod:`braidhom.cohomology` evaluates relators through them: characters by
-exponent sums, matrix representations through ``image`` and
-``word_value``.
+representations, the adjoint action of one among them.  The Fox calculus
+in :mod:`braidhom.cohomology` evaluates relators through them: characters
+by exponent sums, matrix representations through the columns of their
+images, built once on construction.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "CharacterCheck",
     "validate_character",
     "MatrixRep",
-    "AdjointRep",
     "validate_matrix_rep",
     "SpaceSpec",
 ]
@@ -304,11 +303,14 @@ def product_presentation(*factors: Presentation) -> Presentation:
 # surface:g gives every command 2g generators to work on (its relator is
 # built in linear time; `tangent --genus 2000` takes about 0.5 s), and a
 # product has one cross commutator per pair of generators from different
-# factors.
+# factors.  Products are built by recursion, so their nesting is bounded
+# too: surface:0 factors have no generators, and a product of them never
+# reaches the size bound however deep it is nested.
 _CATALOG_MAX_STRANDS = 12
 _CATALOG_MAX_FREE_RANK = 10**5
 _CATALOG_MAX_GENUS = 2000
 _CATALOG_MAX_PRODUCT_SIZE = 2 * 10**6
+_CATALOG_MAX_NESTING = 16
 
 
 def catalog(spec: str) -> Presentation:
@@ -316,20 +318,21 @@ def catalog(spec: str) -> Presentation:
 
     Grammar: ``surface:g`` | ``free:k`` | ``artin_pure:n`` |
     ``product(id,id,...)`` with ids nested recursively.  ``artin_pure:n``
-    with n > 12, ``free:k`` with k > 10^5, ``surface:g`` with g > 2000
-    and products whose generator count times relator count exceeds
-    2 * 10^6 raise :class:`OutOfRangeError`; the builders themselves
-    take any size.
+    with n > 12, ``free:k`` with k > 10^5, ``surface:g`` with g > 2000,
+    products whose generator count times relator count exceeds 2 * 10^6
+    and products nested more than 16 deep raise
+    :class:`OutOfRangeError`; the builders themselves take any size.
     """
     spec = spec.strip()
     if spec.startswith("product(") and spec.endswith(")"):
         inner = spec[len("product(") : -1]
         parts: list[str] = []
-        depth = 0
+        depth = deepest = 0
         current = []
         for ch in inner:
             if ch == "(":
                 depth += 1
+                deepest = max(deepest, depth)
             elif ch == ")":
                 depth -= 1
             if ch == "," and depth == 0:
@@ -340,6 +343,11 @@ def catalog(spec: str) -> Presentation:
         parts.append("".join(current))
         if any(not p.strip() for p in parts):
             raise InputError("empty factor in product id %r" % spec)
+        if deepest >= _CATALOG_MAX_NESTING:
+            raise OutOfRangeError(
+                "a product id nested %d deep: the catalog is limited to "
+                "products nested %d deep" % (deepest + 1, _CATALOG_MAX_NESTING)
+            )
         factors = [catalog(p) for p in parts]
         gens = [p.num_generators for p in factors]
         relators = sum(p.num_relators for p in factors) + sum(
@@ -470,9 +478,13 @@ class Character:
         if values is None:
             exps = [0] * k
         elif isinstance(values, Mapping):
+            # values by name, as a character file gives them, must be ints;
+            # a bool is not one, though Python counts it as an int
             exps = [0] * k
             for name, e in values.items():
-                exps[alphabet.index_of(name)] = int(e)
+                if type(e) is not int:
+                    raise InputError("character values.%s must be an integer, got %r" % (name, e))
+                exps[alphabet.index_of(name)] = e
         else:
             values = list(values)
             if len(values) != k:
@@ -561,10 +573,12 @@ class Character:
 
     @classmethod
     def from_json(cls, alphabet: Alphabet, data: Mapping) -> "Character":
+        if not isinstance(data, Mapping):
+            raise InputError("character JSON must be an object")
         if "N" not in data:
             raise InputError("character JSON needs an N field")
         order = data["N"]
-        if not isinstance(order, int):
+        if type(order) is not int:  # and so not a bool
             raise InputError("character N must be an integer, got %r" % (order,))
         if "radial" in data:
             raise InputError(
@@ -716,16 +730,17 @@ class MatrixRep:
     """A representation by invertible rational matrices.
 
     ``flavor`` is "SL" (unit determinant enforced per generator) or "GL"
-    (any nonzero determinant).  Word evaluation multiplies images left to
-    right on plain row lists; inverses are cached.  ``inverses``, when
-    the caller already holds them, lists the inverse images in generator
-    order; each is checked by one product against the identity.  A
-    representation never changes after construction, so
-    :func:`validate_matrix_rep` records the relators it has verified
-    and does not evaluate them again.
+    (any nonzero determinant).  The columns of the image of every
+    generator and of its inverse are built once, on construction, as the
+    plain lists :func:`exactlin._times` reads: ``columns`` hands them to
+    the Fox scan and H^0, and ``word_value``, ``image`` and
+    ``inverse_image`` are read off them.  ``inverses``, when the caller
+    already holds them, lists the inverse images in generator order;
+    each is checked by one product against the identity.  Otherwise each
+    image is inverted here.
     """
 
-    __slots__ = ("alphabet", "images", "flavor", "dim", "_inverses", "_verified")
+    __slots__ = ("alphabet", "flavor", "dim", "_images", "_inverses")
 
     def __init__(
         self,
@@ -758,13 +773,9 @@ class MatrixRep:
                 raise InputError("image matrix is singular")
             if flavor == "SL" and det != 1:
                 raise InputError("SL flavor requires determinant 1, got %s" % det)
-        self.alphabet = alphabet
-        self.images = tuple(mats)
-        self.flavor = flavor
-        self.dim = d
-        self._verified: tuple[Word, ...] | None = None
-        self._inverses: dict[int, QMat] = {}
-        if inverses is not None:
+        if inverses is None:
+            inverses = [m.inverse() for m in mats]
+        else:
             inverses = list(inverses)
             if len(inverses) != k:
                 raise InputError("expected %d inverse images, got %d" % (k, len(inverses)))
@@ -774,24 +785,25 @@ class MatrixRep:
                     raise InputError(
                         "inverse image of %s is not its inverse" % alphabet.names[i]
                     )
-                self._inverses[i] = minv
+        self.alphabet = alphabet
+        self.flavor = flavor
+        self.dim = d
+        self._images = [list(zip(*m.rows)) for m in mats]
+        self._inverses = [list(zip(*m.rows)) for m in inverses]
 
     def image(self, gen: int | str) -> QMat:
         i = gen if isinstance(gen, int) else self.alphabet.index_of(gen)
-        return self.images[i]
+        return QMat.from_exact(zip(*self._images[i]))
 
     def inverse_image(self, gen: int | str) -> QMat:
-        """The image of the inverse generator, computed once."""
+        """The image of the inverse generator."""
         i = gen if isinstance(gen, int) else self.alphabet.index_of(gen)
-        if i not in self._inverses:
-            self._inverses[i] = self.images[i].inverse()
-        return self._inverses[i]
+        return QMat.from_exact(zip(*self._inverses[i]))
 
     def columns(self, gen: int, sign: int) -> list:
         """The columns of the image of the generator (``sign`` 1) or of
         its inverse (``sign`` -1), ready for :func:`exactlin._times`."""
-        m = self.images[gen] if sign == 1 else self.inverse_image(gen)
-        return list(zip(*m.rows))
+        return self._images[gen] if sign == 1 else self._inverses[gen]
 
     def word_value(self, w: Word) -> QMat:
         out = QMat.identity(self.dim).rows
@@ -799,42 +811,60 @@ class MatrixRep:
             out = _times(out, self.columns(g, s))
         return QMat.from_exact(out)
 
-    def adjoint_rep(self) -> "AdjointRep":
-        return AdjointRep(self)
+    def adjoint_rep(self) -> "MatrixRep":
+        """The conjugation action on trace zero matrices, a (d^2 - 1)
+        dimensional SL representation whose cohomology computes tangent
+        spaces of character varieties at this point.
+
+        The columns of Ad of each generator and of its inverse are read
+        off the columns held here (see :func:`_adjoint_columns`), with no
+        matrix built and no word evaluated.  The constructor's checks
+        hold by construction and are not run: Ad(a) and Ad(a^-1) are
+        inverse, and Ad(a) has determinant 1.
+        """
+        ad = MatrixRep.__new__(MatrixRep)
+        ad.alphabet = self.alphabet
+        ad.flavor = "SL"
+        ad.dim = self.dim * self.dim - 1
+        pairs = list(zip(self._images, self._inverses))
+        ad._images = [_adjoint_columns(a, ainv) for a, ainv in pairs]
+        ad._inverses = [_adjoint_columns(ainv, a) for a, ainv in pairs]
+        return ad
 
     def __repr__(self) -> str:
         return "MatrixRep(%s_%d on %d generators)" % (
             self.flavor,
             self.dim,
-            len(self.images),
+            len(self._images),
         )
 
 
-def _adjoint_columns(a: QMat, ainv: QMat) -> list[list]:
-    """The columns of Ad(a) on trace zero d x d matrices, in closed form.
+def _adjoint_columns(a: list, ainv: list) -> list[list]:
+    """The columns of Ad(a) on trace zero d x d matrices, in closed form,
+    from the columns of a and of ``ainv``.
 
     The basis is H_1 .. H_(d-1), H_i = E_ii - E_(i+1)(i+1), then E_ij
     for i != j in row-major order; the coordinates of a trace zero
     matrix are the partial sums of its diagonal, then its off-diagonal
     entries in that order.  The (k, l) entry of a E_ij a^-1 is
-    a_ki (a^-1)_jl, so each column is read off the entries of a and
-    ``ainv`` with no d x d product.  A column whose trace does not
+    a_ki (a^-1)_jl, so each column is read off column i of a and row j
+    of ``ainv`` with no d x d product.  A column whose trace does not
     vanish means ``ainv`` is not the inverse of ``a``.
     """
-    d = a.n
-    A, B = a.rows, ainv.rows
+    d = len(a)
+    B = list(zip(*ainv))
     off = [(k, l) for k in range(d) for l in range(d) if k != l]
 
     def conjugate(i: int, j: int) -> tuple[list, int | Fraction]:
         # coordinates of a E_ij a^-1 and its trace
-        Bj = B[j]
+        Ai, Bj = a[i], B[j]
         coords = []
         acc = 0
         for t in range(d - 1):
-            acc += A[t][i] * Bj[t]
+            acc += Ai[t] * Bj[t]
             coords.append(acc)
-        coords.extend(A[k][i] * Bj[l] for k, l in off)
-        return coords, acc + A[d - 1][i] * Bj[d - 1]
+        coords.extend(Ai[k] * Bj[l] for k, l in off)
+        return coords, acc + Ai[d - 1] * Bj[d - 1]
 
     diagonal = [conjugate(i, i) for i in range(d)]
     cols = []
@@ -850,72 +880,13 @@ def _adjoint_columns(a: QMat, ainv: QMat) -> list[list]:
     return cols
 
 
-def _adjoint(a: QMat, ainv: QMat) -> QMat:
-    """Ad(a) as a matrix: the columns of :func:`_adjoint_columns`."""
-    return QMat.from_exact(zip(*_adjoint_columns(a, ainv)))
-
-
-class AdjointRep:
-    """The conjugation action on trace zero matrices, as explicit matrices.
-
-    For a d dimensional representation this is a (d^2 - 1) dimensional
-    rational representation; its cohomology computes tangent spaces of
-    character varieties at the underlying point.  The columns of the
-    image of each generator and of its inverse are read off the entries
-    of the underlying image and its cached inverse (see
-    :func:`_adjoint_columns`), once, on construction; no word is
-    evaluated for either, and ``columns`` hands the Fox scan and H^0 the
-    columns they read without building a matrix.  ``image`` and
-    ``inverse_image`` wrap the same columns as matrices.
-    """
-
-    __slots__ = ("rep", "dim", "_images", "_inverses")
-
-    def __init__(self, rep: MatrixRep):
-        self.rep = rep
-        self.dim = rep.dim * rep.dim - 1
-        pairs = [(a, rep.inverse_image(g)) for g, a in enumerate(rep.images)]
-        self._images = [_adjoint_columns(a, ainv) for a, ainv in pairs]
-        self._inverses = [_adjoint_columns(ainv, a) for a, ainv in pairs]
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.rep.alphabet
-
-    def word_value(self, w: Word) -> QMat:
-        rep = self.rep
-        return _adjoint(rep.word_value(w), rep.word_value(w.inverse()))
-
-    def image(self, gen: int | str) -> QMat:
-        """Ad of the generator, as the columns built on construction."""
-        i = gen if isinstance(gen, int) else self.alphabet.index_of(gen)
-        return QMat.from_exact(zip(*self._images[i]))
-
-    def inverse_image(self, gen: int | str) -> QMat:
-        """Ad of the inverse generator, as the columns built on construction."""
-        i = gen if isinstance(gen, int) else self.alphabet.index_of(gen)
-        return QMat.from_exact(zip(*self._inverses[i]))
-
-    def columns(self, gen: int, sign: int) -> list:
-        """The columns of the image of the generator (``sign`` 1) or of
-        its inverse (``sign`` -1), built once on construction."""
-        return self._images[gen] if sign == 1 else self._inverses[gen]
-
-
-def validate_matrix_rep(p: Presentation, rep) -> CharacterCheck:
-    """Check that every relator maps to the identity matrix.  A
-    MatrixRep that passed keeps the relators it passed on, and a later
-    check against the same relators returns at once."""
+def validate_matrix_rep(p: Presentation, rep: MatrixRep) -> CharacterCheck:
+    """Check that every relator maps to the identity matrix."""
     if rep.alphabet != p.alphabet:
         raise InputError("representation alphabet does not match the presentation")
-    memo = isinstance(rep, MatrixRep)
-    if memo and rep._verified == p.relators:
-        return CharacterCheck(True)
     for r in p.relators:
         if not rep.word_value(r).is_identity():
             return CharacterCheck(False, r)
-    if memo:
-        rep._verified = p.relators
     return CharacterCheck(True)
 
 

@@ -453,7 +453,7 @@ def _traceless_coords(m: QMat) -> list[int | Fraction]:
 
 def _adjoint_by_conjugation(a: QMat, ainv: QMat) -> QMat:
     """Ad(a) by conjugating each `_traceless_basis` element, the oracle
-    for the closed form that `AdjointRep` reads off the entries."""
+    for the closed form that `MatrixRep.adjoint_rep` reads off the entries."""
     cols = [_traceless_coords(a * b * ainv) for b in _traceless_basis(a.n)]
     return QMat(zip(*cols))
 

@@ -69,6 +69,36 @@ class TestH1:
         assert out == ""
         assert "radial" in err
 
+    @pytest.mark.parametrize("value", ["x", None, [1], 1.5, "7", True])
+    def test_non_integer_value_exits_2(self, tmp_path, value, capsys):
+        # JSON integers only: a string, null, list, float or bool is
+        # refused, never read as a number, and the generator is named
+        values = dict(NONTRIVIAL_GENUS2["values"], b2=value)
+        path = write_json(tmp_path / "chi.json", {"N": 3, "values": values})
+        code, out, err = run_cli(["h1", "--catalog", "surface:2", "--char", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: character values.b2 must be an integer, got %r\n" % (value,)
+
+    @pytest.mark.parametrize("order", ["x", None, [1], 1.5, "7", True])
+    def test_non_integer_order_exits_2(self, tmp_path, order, capsys):
+        chi = dict(NONTRIVIAL_GENUS2, N=order)
+        path = write_json(tmp_path / "chi.json", chi)
+        code, out, err = run_cli(["h1", "--catalog", "surface:2", "--char", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: character N must be an integer, got %r\n" % (order,)
+
+    @pytest.mark.parametrize("item", [5, None, [1], "N"])
+    def test_tuple_component_not_an_object_exits_2(self, tmp_path, item, capsys):
+        rho = {"components": [NONTRIVIAL_GENUS2, item]}
+        path = write_json(tmp_path / "rho.json", rho)
+        argv = ["twisted", "--space", "genus:2", "--n", "2", "--char", path]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: character JSON must be an object\n"
+
     @pytest.mark.parametrize("N", [10**6 + 3, 10**24 + 7])
     def test_order_past_limit_exits_2(self, tmp_path, N, capsys):
         # the residue maps would factor q - 1 by trial division, which
@@ -378,6 +408,31 @@ class TestCatalogLimits:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "limited to" in err
+
+    @pytest.mark.parametrize("depth", [17, 500, 2000])
+    def test_deep_product_exits_2_at_once(self, depth, capsys):
+        # surface:0 factors have no generators, so the size bound never
+        # fires; the nesting bound does, before any recursion
+        spec = "surface:0"
+        for _ in range(depth):
+            spec = "product(%s,surface:0)" % spec
+        start = time.perf_counter()
+        code, out, err = run_cli(["abelianize", "--catalog", spec], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: a product id nested %d deep: the catalog is limited to "
+            "products nested 16 deep\n" % depth
+        )
+
+    def test_product_nested_16_deep_builds(self, capsys):
+        spec = "free:1"
+        for _ in range(16):
+            spec = "product(%s,free:1)" % spec
+        code, out, _ = run_cli(["abelianize", "--catalog", spec], capsys)
+        assert code == 0
+        assert json.loads(out)["rank"] == 17
 
 
 class TestSizeLimit:

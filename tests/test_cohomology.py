@@ -30,7 +30,6 @@ from braidhom.cyclotomic import CycContext, certified_rank, rank_kernel
 from braidhom.errors import InputError, OutOfRangeError, PreconditionError
 from braidhom.exactlin import IntMatrix, QMat, cokernel_profile
 from braidhom.presentations import (
-    AdjointRep,
     Character,
     MatrixRep,
     Presentation,
@@ -41,8 +40,9 @@ from braidhom.presentations import (
     product_presentation,
     surface_presentation,
     validate_character,
+    validate_matrix_rep,
 )
-from braidhom.verify import _p2_torus_character, _tangent_by_elimination
+from braidhom.verify import _adjoint_by_conjugation, _p2_torus_character, _tangent_by_elimination
 from braidhom.words import free_reduce, generator_word
 from wordtools import exponent_sum
 
@@ -380,12 +380,13 @@ class TestTangent:
             return mul(self, other)
 
         monkeypatch.setattr(QMat, "__mul__", counted_mul)
-        for cls in (MatrixRep, AdjointRep):
-            def counted_value(self, w, value=cls.word_value):
-                lengths.append(len(w.letters))
-                return value(self, w)
+        value = MatrixRep.word_value
 
-            monkeypatch.setattr(cls, "word_value", counted_value)
+        def counted_value(self, w):
+            lengths.append(len(w.letters))
+            return value(self, w)
+
+        monkeypatch.setattr(MatrixRep, "word_value", counted_value)
         report = tangent_dim_at(p, rho)
         assert h1_dim(p, rho.adjoint_rep()) == report.h1
         assert products == []
@@ -405,6 +406,21 @@ class TestTangent:
                 assert ad.image(j) * inv == one
             w = free_reduce([(rng.randrange(2 * g), rng.choice((1, -1))) for _ in range(8)])
             assert ad.word_value(w.inverse()) * ad.word_value(w) == one
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_adjoint_word_value_matches_conjugation(self, g):
+        # Ad rho(w), a product of the closed-form columns letter by
+        # letter, against rho(w) conjugating the trace zero basis
+        rng = seeded_rng(720 + g)
+        for _ in range(5):
+            rho = random_surface_sl2(g, rng)
+            ad = rho.adjoint_rep()
+            for length in (0, 1, 2, 5, 9, 16):
+                w = free_reduce(
+                    [(rng.randrange(2 * g), rng.choice((1, -1))) for _ in range(length)]
+                )
+                m = rho.word_value(w)
+                assert ad.word_value(w) == _adjoint_by_conjugation(m, m.inverse())
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_tangent_cli_evaluates_the_relator_once(self, g, monkeypatch, capsys):
@@ -613,10 +629,12 @@ class TestSamplers:
     def test_surface_sampler_validates(self, g):
         rng = seeded_rng(g * 11)
         rep = random_surface_sl2(g, rng)
-        assert len(rep.images) == 2 * g
-        # construction already asserts the relator; determinism check
+        assert len(rep.alphabet) == 2 * g
+        assert validate_matrix_rep(surface_presentation(g), rep)
+        # determinism check
         again = random_surface_sl2(g, seeded_rng(g * 11))
-        assert [m.rows for m in again.images] == [m.rows for m in rep.images]
+        images = [rep.image(j) for j in range(2 * g)]
+        assert [again.image(j) for j in range(2 * g)] == images
 
     @pytest.mark.parametrize("spread", [1, 3, 10**30])
     def test_random_sl2_inverse_by_construction(self, spread):
