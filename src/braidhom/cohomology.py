@@ -92,11 +92,11 @@ class FoxJacobian:
     ``rows`` holds a (relators * dim) by (generators * dim) matrix,
     ``ncols`` wide; the (r, j) block is the Fox derivative of relator r by
     generator j, evaluated through the coefficient system.  Its kernel
-    is the space of 1-cocycles.  At a character (``order`` N) each entry
-    is an element of Z[zeta_N], a mapping from exponents e to integer
-    coefficients c standing for the sum of c * zeta^e; at a matrix
-    representation (``order`` None) entries are exact rationals, ints
-    where the denominator is 1 and Fractions elsewhere.
+    is the space of 1-cocycles.  At a character (``order`` N) each row is
+    sparse, as ``cyclotomic`` stores matrices over Z[zeta_N]: terms
+    (j, e, c), c * zeta^e in column j, no (j, e) twice and no c zero.  At
+    a matrix representation (``order`` None) rows are dense exact
+    rationals, ints where the denominator is 1 and Fractions elsewhere.
     """
 
     __slots__ = ("rows", "ncols", "dim", "order")
@@ -124,37 +124,38 @@ class FoxJacobian:
 
 def _rational_rank(rows, ncols: int, upper: Optional[int] = None) -> int:
     """Rank over Q of a matrix of ints and Fractions.  Scaling a row by
-    the lcm of its denominators keeps the rank, and an integer c is the
-    element {0: c} of Z[zeta_1], so the certificate at order 1 applies.
-    A row without a Fraction is already integral and is not scaled."""
+    the lcm of its denominators keeps the rank, and an integer c in
+    column j is the term (j, 0, c) over Z[zeta_1], so the certificate at
+    order 1 applies.  A row without a Fraction is not scaled."""
     scaled = []
     for row in rows:
         if Fraction in map(type, row):
             den = lcm(*(x.denominator for x in row))
             row = [x.numerator * (den // x.denominator) for x in row]
-        scaled.append([{0: x} if x else {} for x in row])
+        scaled.append([(j, 0, x) for j, x in enumerate(row) if x])
     return certified_rank(scaled, ncols, 1, upper)[0]
 
 
-def _character_blocks(word, exps, order: int, k: int) -> list[dict]:
-    """Fox derivatives of ``word`` by all k generators at the character
-    with exponents ``exps`` mod ``order``.
+def _character_row(word, exps, order: int) -> list[tuple[int, int, int]]:
+    """The Fox derivatives of ``word`` by every generator at the
+    character with exponents ``exps`` mod ``order``, as one sparse row.
 
     Prefix scan on exponents: d(uv) = d(u) + chi(u) d(v) specialises,
-    letter by letter, to adding zeta^(prefix) at each positive letter
-    and subtracting zeta^(prefix after the letter) at each negative one.
+    letter by letter, to adding zeta^(prefix) in the letter's column at
+    each positive letter and subtracting zeta^(prefix after the letter)
+    at each negative one, summed in one dict keyed by (column, exponent);
+    terms that cancel are dropped.
     """
-    deriv: list[dict] = [{} for _ in range(k)]
+    acc: dict[tuple[int, int], int] = {}
     e = 0
     for g, s in word.letters:
-        d = deriv[g]
         if s == 1:
-            d[e] = d.get(e, 0) + 1
+            acc[g, e] = acc.get((g, e), 0) + 1
             e = (e + exps[g]) % order
         else:
             e = (e - exps[g]) % order
-            d[e] = d.get(e, 0) - 1
-    return [{x: c for x, c in d.items() if c} for d in deriv]
+            acc[g, e] = acc.get((g, e), 0) - 1
+    return [(g, e, c) for (g, e), c in acc.items() if c]
 
 
 def _fox_blocks(word, phi, k: int) -> list[list[list]]:
@@ -187,9 +188,7 @@ def fox_jacobian(p: Presentation, phi) -> FoxJacobian:
         raise InputError("coefficient alphabet does not match the presentation")
     k = p.num_generators
     if isinstance(phi, Character):
-        rows = [
-            _character_blocks(rel, phi.exponents, phi.order, k) for rel in p.relators
-        ]
+        rows = [_character_row(rel, phi.exponents, phi.order) for rel in p.relators]
         return FoxJacobian(rows, k, 1, order=phi.order)
     d = phi.dim
     rows: list[list] = []

@@ -1,24 +1,25 @@
 """Cyclotomic integers Z[zeta_N], and certified rank.
 
-An element of Z[zeta_N] is a mapping from exponents e to integer
-coefficients c, standing for the sum of c * zeta^e; Fox Jacobians of
-characters are matrices of such mappings.
+A matrix over Z[zeta_N], such as the Fox Jacobian of a character, is
+stored as sparse rows: lists of terms (j, e, c), each c * zeta^e in
+column j; the entry in column j is the sum of its terms.
 
-``certified_rank`` computes the exact rank over Q(zeta_N) of a matrix of
-such entries without field arithmetic.  It maps zeta to a root of unity
+``certified_rank`` computes the exact rank over Q(zeta_N) of such a
+matrix without field arithmetic.  It maps zeta to a root of unity
 of the same order in F_q for a prime q = 1 (mod N): that rank is a lower
 bound on the true rank, and when it meets an upper bound the caller can
 prove, it is the rank.  Otherwise the largest rank over enough such maps
 is exact by a norm bound.  At N = 1 the same certificate ranks integer
 matrices, so a rational matrix is ranked once its rows are scaled to
-integers.
+integers, each entry c the term (j, 0, c).
 
 The independent route that rank is tested against is exact integer
-elimination: ``CycContext.matrix`` writes an element as the integer
-matrix of multiplication by it on the power basis (its regular
-representation), and ``CycContext.rank`` takes the Smith form of the
-block matrix.  ``rank_kernel`` eliminates over any exact field; over Q
-it is the oracle of the tangent acceptance check.
+elimination: ``CycContext.matrix`` writes an element, a mapping from
+exponents e to coefficients c, as the integer matrix of multiplication
+by it on the power basis (its regular representation), and
+``CycContext.rank`` takes the Smith form of the block matrix of the same
+sparse rows.  ``rank_kernel`` eliminates over any exact field; over Q it
+is the oracle of the tangent acceptance check.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ class CycContext:
         return IntMatrix(zip(*cols), ncols=d)
 
     def rank(self, rows: list[list], ncols: int) -> int:
-        """Exact rank over Q(zeta_N) of a matrix whose entries are
-        mappings from exponents to integer coefficients.
+        """Exact rank over Q(zeta_N) of a matrix ``ncols`` wide, given as
+        sparse rows of terms (j, e, c).
 
         Every entry becomes its integer matrix, and the rank over Q of
         the block matrix is degree times the rank over Q(zeta_N), since
@@ -144,11 +145,13 @@ class CycContext:
         d = self.degree
         columns: list[dict[int, int]] = [{} for _ in range(ncols * d)]
         for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("row width disagrees with ncols")
-            for j, entry in enumerate(row):
-                if not entry:
-                    continue
+            entries: dict[int, dict[int, int]] = {}
+            for j, e, c in row:
+                if not 0 <= j < ncols:
+                    raise ValueError("term column %d is outside %d columns" % (j, ncols))
+                entry = entries.setdefault(j, {})
+                entry[e] = entry.get(e, 0) + c
+            for j, entry in entries.items():
                 block = self.matrix(entry).rows
                 for r in range(d):
                     for k, x in enumerate(block[r]):
@@ -352,46 +355,45 @@ def _residue_maps(n: int):
         w = order_n_root(q, n)
 
 
-def _image(rows: list[list[dict]], q: int, w: int) -> list[list[int]]:
-    images: dict[int, int] = {}
+def _image(rows: list[list], ncols: int, q: int, w: int, g: int) -> list[list[int]]:
+    """The matrix over F_q of sparse rows under zeta^e -> w^(e / g)."""
+    powers: dict[int, int] = {}
     M = []
     for row in rows:
-        out = []
-        for entry in row:
-            acc = 0
-            for e, c in entry.items():
-                x = images.get(e)
-                if x is None:
-                    x = images[e] = pow(w, e, q)
-                acc += c * x
-            out.append(acc % q)
-        M.append(out)
+        out = [0] * ncols
+        for j, e, c in row:
+            x = powers.get(e)
+            if x is None:
+                x = powers[e] = pow(w, e // g, q)
+            out[j] += c * x
+        M.append([x % q for x in out])
     return M
 
 
 def certified_rank(rows: list[list], ncols: int, order: int, upper: int | None = None) -> tuple[int, bool]:
     """Exact rank over Q(zeta_order) of a matrix over Z[zeta_order].
 
-    Each entry is a mapping from exponents e to integer coefficients c,
-    standing for the sum of c * zeta^e.  ``upper`` is an upper bound on
-    the rank that the caller can prove (by default the smaller side of
-    the matrix).  Returns (rank, certified), where ``certified`` says
-    that the first residue map already met ``upper``.
+    ``rows`` are sparse, lists of terms (j, e, c) for c * zeta^e in
+    column j < ``ncols``.  ``upper`` is an upper bound on the rank that
+    the caller can prove (by default the smaller side of the matrix).
+    Returns (rank, certified), where ``certified`` says that the first
+    residue map already met ``upper``.
 
-    The entries lie in Z[zeta_n] with n = order / gcd(order, every
-    exponent).  A ring map Z[zeta_n] -> F_q cannot raise the rank, so the
-    rank over F_q under zeta -> w (w of order n, q the prime of
-    ``splitting_root(n)``) is a lower bound; when it meets ``upper`` it
-    is the rank.  Otherwise the rank is the largest rank ``best`` over
-    F_q across enough residue maps.  A rank above ``best`` needs a
-    nonzero (best + 1)-minor a, and a lies in the kernel of every map
-    taken, since none of them has rank above ``best``.  Those kernels are
-    distinct prime ideals, so their norms, the primes q, multiply to at
-    most |Norm(a)|.  But each complex conjugate of a is at most H by
+    The entries lie in Z[zeta_n] with n = order / g, g the gcd of order
+    and every exponent.  A ring map Z[zeta_n] -> F_q cannot raise the
+    rank, so the rank over F_q under zeta^e -> w^(e / g) (w of order n,
+    q the prime of ``splitting_root(n)``) is a lower bound; when it meets
+    ``upper`` it is the rank.  Otherwise the rank is the largest rank
+    ``best`` over F_q across enough residue maps.  A rank above ``best``
+    needs a nonzero (best + 1)-minor a, and a lies in the kernel of every
+    map taken, since none of them has rank above ``best``.  Those kernels
+    are distinct prime ideals, so their norms, the primes q, multiply to
+    at most |Norm(a)|.  But each complex conjugate of a is at most H by
     Hadamard's inequality, with H the product of the best + 1 largest
-    row norms, each entry counted at the sum of its |c|, so |Norm(a)| is
-    at most H^phi(n).  Once the primes multiply past H^phi(n), with H
-    counted again whenever ``best`` rises, ``best`` is the rank.
+    row norms, each entry counted at the sum of its terms' |c|, so
+    |Norm(a)| is at most H^phi(n).  Once the primes multiply past
+    H^phi(n), with H counted again whenever ``best`` rises, ``best`` is
+    the rank.  The gcd, each image and the norms read the terms once.
 
     Reduced orders n above ``_ORDER_LIMIT`` raise OutOfRangeError before
     any residue map is built.
@@ -404,27 +406,25 @@ def certified_rank(rows: list[list], ncols: int, order: int, upper: int | None =
     for row in rows:
         if g == 1:
             break
-        for entry in row:
-            for e in entry:
-                g = gcd(g, e)
+        for _, e, _ in row:
+            g = gcd(g, e)
     n = order // g
     if n > _ORDER_LIMIT:
         raise OutOfRangeError(
             "reduced character order %d is above the limit %d" % (n, _ORDER_LIMIT)
         )
-    if g > 1:
-        rows = [[{e // g: c for e, c in entry.items()} for entry in row] for row in rows]
     maps = _residue_maps(n)
     q, w = next(maps)
-    best = _rank_mod(_image(rows, q, w), ncols, q)
+    best = _rank_mod(_image(rows, ncols, q, w, g), ncols, q)
     if best == bound:
         return best, True
     # squared row norms, largest first; the bits of H^phi(n) are
     # counted over the best + 1 largest, again whenever best rises
-    norms = sorted(
-        (sum(sum(abs(c) for c in t.values()) ** 2 for t in row) for row in rows),
-        reverse=True,
-    )
+    sizes = [[0] * ncols for _ in rows]
+    for size, row in zip(sizes, rows):
+        for j, _, c in row:
+            size[j] += abs(c)
+    norms = sorted((sum(x * x for x in size) for size in sizes), reverse=True)
     phi = euler_phi(n)
     have = q.bit_length() - 1
     counted = None
@@ -438,7 +438,7 @@ def certified_rank(rows: list[list], ncols: int, order: int, upper: int | None =
         if have >= need:
             break
         q, w = next(maps)
-        best = max(best, _rank_mod(_image(rows, q, w), ncols, q))
+        best = max(best, _rank_mod(_image(rows, ncols, q, w, g), ncols, q))
         have += q.bit_length() - 1
     if best > bound:
         raise ArithmeticError(

@@ -194,13 +194,11 @@ def b1_pure_braid(space: SpaceSpec, n: int) -> B1Report:
 # ---------------------------------------------------------------------------
 # twisted first cohomology
 
-@lru_cache(maxsize=32)
 def factor_presentation(space: SpaceSpec):
     """The factor group whose characters make up a tuple for ``space``:
     the genus g surface group, or the free group of rank one for the
-    punctured plane.  Cached, so the CLI's alphabet and the tuple check
-    share one build per space; the bound keeps memory small, since a
-    genus 2000 factor takes about 1 MiB."""
+    punctured plane.  Read off the memo of ``catalog``, so the CLI's
+    alphabet and the tuple check share one build per space."""
     if space.kind == "genus":
         return catalog("surface:%d" % space.genus)
     if space.kind == "c-star":

@@ -313,6 +313,7 @@ _CATALOG_MAX_PRODUCT_SIZE = 2 * 10**6
 _CATALOG_MAX_NESTING = 16
 
 
+@lru_cache(maxsize=16)
 def catalog(spec: str) -> Presentation:
     """Build a catalog presentation from a string id.
 
@@ -322,6 +323,8 @@ def catalog(spec: str) -> Presentation:
     products whose generator count times relator count exceeds 2 * 10^6
     and products nested more than 16 deep raise
     :class:`OutOfRangeError`; the builders themselves take any size.
+    Presentations never change, so one memo keeps the last 16 ids as
+    spelled, factors of products included; an id that raises keeps none.
     """
     spec = spec.strip()
     if spec.startswith("product(") and spec.endswith(")"):
@@ -472,26 +475,27 @@ class Character:
         order: int,
         values: Mapping[str, int] | Sequence[int] | None = None,
     ):
+        # ints only: a bool is not one, though Python counts it as an int
+        if type(order) is not int:
+            raise InputError("cyclotomic order must be an integer, got %r" % (order,))
         if order < 1:
             raise InputError("cyclotomic order must be positive, got %r" % order)
         k = len(alphabet)
         if values is None:
             exps = [0] * k
         elif isinstance(values, Mapping):
-            # values by name, as a character file gives them, must be ints;
-            # a bool is not one, though Python counts it as an int
             exps = [0] * k
             for name, e in values.items():
                 if type(e) is not int:
                     raise InputError("character values.%s must be an integer, got %r" % (name, e))
                 exps[alphabet.index_of(name)] = e
         else:
-            values = list(values)
-            if len(values) != k:
-                raise InputError(
-                    "expected %d exponents, got %d" % (k, len(values))
-                )
-            exps = [int(e) for e in values]
+            exps = list(values)
+            if len(exps) != k:
+                raise InputError("expected %d exponents, got %d" % (k, len(exps)))
+            for j, e in enumerate(exps):
+                if type(e) is not int:
+                    raise InputError("character exponent %d must be an integer, got %r" % (j, e))
         self.alphabet = alphabet
         self.order = order
         self.exponents = tuple(e % order for e in exps)

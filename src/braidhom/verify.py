@@ -92,16 +92,15 @@ def _random_word(rng: random.Random, num_gens: int, max_len: int):
 
 
 def _fox_identity_character(w, chi: Character) -> bool:
-    """The identity in Z[Z/N] on the exponent maps of the Jacobian row."""
+    """The identity in Z[Z/N] on the terms of the sparse Jacobian row."""
     jac = fox_jacobian(Presentation(chi.alphabet, (w,)), chi)
     n = chi.order
     total = [0] * n  # coefficient of each zeta^e, starting from 1 - chi(w)
     total[0] += 1
     total[chi.word_exponent(w)] -= 1
-    for deriv, e in zip(jac.rows[0], chi.exponents):
-        for x, c in deriv.items():
-            total[(x + e) % n] += c
-            total[x] -= c
+    for j, x, c in jac.rows[0]:
+        total[(x + chi.exponents[j]) % n] += c
+        total[x] -= c
     return not any(total)
 
 

@@ -215,7 +215,7 @@ class TestCharacterFiles:
         monkeypatch.setattr(
             presentations, "surface_presentation", lambda g: builds.append(g) or build(g)
         )
-        leray.factor_presentation.cache_clear()
+        presentations.catalog.cache_clear()
         rho = {"components": [NONTRIVIAL_GENUS2, TRIVIAL_GENUS2]}
         path = write_json(tmp_path / "rho.json", rho)
         argv = [command, "--space", "genus:2", "--n", "2", "--char", path]

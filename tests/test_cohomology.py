@@ -212,7 +212,7 @@ class TestFoxJacobian:
         # are checked by the dimensions built on it
         p = parse_presentation("gens: a\nrel: a a a")
         chi = Character(p.alphabet, 4, {"a": 1})
-        assert fox_jacobian(p, chi).rows == [[{0: 1, 1: 1, 2: 1}]]
+        assert fox_jacobian(p, chi).rows == [[(0, 0, 1), (0, 1, 1), (0, 2, 1)]]
         with pytest.raises(PreconditionError):
             h0_dim(p, chi)
         with pytest.raises(PreconditionError):

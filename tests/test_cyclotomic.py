@@ -120,7 +120,7 @@ class TestFieldArithmetic:
         ctx = CycContext(3)
         assert ctx.matrix({}) == ctx.matrix({0: 0, 1: 0}) == IntMatrix.zeros(2, 2)
         assert bareiss_determinant(ctx.matrix({})) == 0
-        assert ctx.rank([[{}]], 1) == 0
+        assert ctx.rank([[]], 1) == 0
 
     def test_inverse_roundtrip_frozen(self):
         # 1 + zeta_5 is a unit of Z[zeta_5] (its norm Phi_5(-1) is 1), and
@@ -133,6 +133,13 @@ class TestFieldArithmetic:
         ctx = CycContext(7)
         assert ctx.matrix({-1: 1}) == ctx.matrix({6: 1})
         assert ctx.matrix({-3: 1}) @ ctx.matrix({3: 1}) == IntMatrix.identity(6)
+
+
+def _sparse(rows):
+    """The sparse rows that ``CycContext.rank`` and ``certified_rank``
+    read, (j, e, c) for c * zeta^e in column j, of a matrix written with
+    one mapping from exponents to coefficients per entry."""
+    return [[(j, e, c) for j, entry in enumerate(row) for e, c in entry.items()] for row in rows]
 
 
 def _terms(n):
@@ -176,7 +183,7 @@ class TestFieldAxioms:
         # the first column is the element's coordinate vector
         nonzero = any(r[0] for r in m.rows)
         assert (bareiss_determinant(m) != 0) == nonzero
-        assert ctx.rank([[a]], 1) == (1 if nonzero else 0)
+        assert ctx.rank(_sparse([[a]]), 1) == (1 if nonzero else 0)
 
     @settings(max_examples=40, deadline=None)
     @given(_terms(9), _terms(9))
@@ -213,8 +220,8 @@ class TestRankKernel:
         # [[1, zeta], [zeta^-1, 1]] over Q(zeta_5): the second row is
         # zeta^-1 times the first
         ctx = CycContext(5)
-        assert ctx.rank([[{0: 1}, {1: 1}], [{4: 1}, {0: 1}]], 2) == 1
-        assert ctx.rank([[{0: 1}, {1: 1}], [{4: 1}, {0: 2}]], 2) == 2
+        assert ctx.rank([[(0, 0, 1), (1, 1, 1)], [(0, 4, 1), (1, 0, 1)]], 2) == 1
+        assert ctx.rank([[(0, 0, 1), (1, 1, 1)], [(0, 4, 1), (1, 0, 2)]], 2) == 2
 
     def test_cyclotomic_kernel_annihilates(self):
         # the row (1 - zeta, zeta^2, 1) over Q(zeta_8) has rank 1; the
@@ -223,8 +230,8 @@ class TestRankKernel:
         ctx = CycContext(8)
         row = [{0: 1, 1: -1}, {2: 1}, {0: 1}]
         kernel = [[{0: 1}, {}, {1: 1, 0: -1}], [{}, {0: 1}, {2: -1}]]
-        assert ctx.rank([row], 3) == 1
-        assert ctx.rank(kernel, 3) == 2
+        assert ctx.rank(_sparse([row]), 3) == 1
+        assert ctx.rank(_sparse(kernel), 3) == 2
         zero = IntMatrix.zeros(ctx.degree, ctx.degree)
         for v in kernel:
             assert _matrix_sum([ctx.matrix(a) @ ctx.matrix(b) for a, b in zip(row, v)]) == zero
@@ -298,8 +305,8 @@ class TestModularPath:
                 ]
                 for _ in range(m)
             ]
-            fast, _ = certified_rank(rows, n, 6)
-            assert fast == ctx.rank(rows, n)
+            fast, _ = certified_rank(_sparse(rows), n, 6)
+            assert fast == ctx.rank(_sparse(rows), n)
         q = find_splitting_prime(6)
         assert q % 6 == 1
 
@@ -307,10 +314,10 @@ class TestModularPath:
         # entries that vanish under the first residue map but not in Z[zeta]
         for n in (1, 6, 7):
             q, w = splitting_root(n)
-            assert certified_rank([[{1 % n: q}]], 1, n) == (1, False)
+            assert certified_rank([[(0, 1 % n, q)]], 1, n) == (1, False)
             if n > 1:
-                assert certified_rank([[{1: 1, 0: -w}]], 1, n) == (1, False)
-                assert certified_rank([[{1: q}, {0: 1}]], 2, n, upper=1) == (1, True)
+                assert certified_rank([[(0, 1, 1), (0, 0, -w)]], 1, n) == (1, False)
+                assert certified_rank([[(0, 1, q), (1, 0, 1)]], 2, n, upper=1) == (1, True)
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_fallback_counts_best_plus_one_row_norms(self, n, monkeypatch):
@@ -332,8 +339,8 @@ class TestModularPath:
 
         rank_mod = cyclotomic._rank_mod
         monkeypatch.setattr(cyclotomic, "_rank_mod", spy)
-        assert certified_rank(rows, 3, n) == (1, False)
-        assert CycContext(n).rank(rows, 3) == 1
+        assert certified_rank(_sparse(rows), 3, n) == (1, False)
+        assert CycContext(n).rank(_sparse(rows), 3) == 1
         norms = sorted(
             (sum(sum(map(abs, t.values())) ** 2 for t in row) for row in rows),
             reverse=True,
@@ -354,15 +361,15 @@ class TestModularPath:
     def test_order_limit_counts_the_reduced_order(self):
         limit = cyclotomic._ORDER_LIMIT
         assert limit >= 10007
-        assert certified_rank([[{1: 1}]], 1, limit) == (1, True)
+        assert certified_rank([[(0, 1, 1)]], 1, limit) == (1, True)
         with pytest.raises(OutOfRangeError, match="above the limit %d" % limit):
-            certified_rank([[{1: 1}]], 1, limit + 1)
+            certified_rank([[(0, 1, 1)]], 1, limit + 1)
         # order_n_root would factor q - 1 by trial division to sqrt(q)
         big = 10**24 + 7
         with pytest.raises(OutOfRangeError):
-            certified_rank([[{1: 1, 0: -1}]], 1, big)
+            certified_rank([[(0, 1, 1), (0, 0, -1)]], 1, big)
         # exponents sharing the factor big reduce the order to 7
-        assert certified_rank([[{big: 1, 0: -1}]], 1, 7 * big) == (1, True)
+        assert certified_rank([[(0, big, 1), (0, 0, -1)]], 1, 7 * big) == (1, True)
         # a matrix with no entries needs no residue map
         assert certified_rank([], 3, big) == (0, True)
 
@@ -374,6 +381,7 @@ class TestModularPath:
         ctx = CycContext(n)
         for _ in range(12):
             rows, ncols = _planted(rng, n)
+            rows = _sparse(rows)
             assert certified_rank(rows, ncols, n)[0] == ctx.rank(rows, ncols)
 
     def test_certified_rank_sweep_every_order(self):
@@ -385,6 +393,7 @@ class TestModularPath:
             ctx = CycContext(n)
             for _ in range(10):
                 rows, ncols = _planted(rng, n)
+                rows = _sparse(rows)
                 assert certified_rank(rows, ncols, n)[0] == ctx.rank(rows, ncols), (n, rows)
 
 
@@ -412,3 +421,93 @@ def _planted(rng, n):
         rows.append(row)
     rng.shuffle(rows)
     return rows, ncols
+
+
+def _sparse_planted(rng, n):
+    """A seeded sparse matrix over Z[zeta_n], written straight in the
+    row form: base rows whose terms repeat (column, exponent) pairs and
+    cancel, empty rows, and sums of zeta-shifted, scaled copies of the
+    base rows (a sum of sparse rows is the concatenation of their terms),
+    which plant a rank deficiency.  Half the matrices have every exponent
+    a multiple of a divisor s > 1 of n, where n has one, so the reduced
+    order is below n."""
+    ncols = rng.randint(1, 5)
+    divisors = [s for s in range(2, n + 1) if n % s == 0]
+    step = rng.choice(divisors) if divisors and rng.random() < 0.5 else 1
+    base = []
+    for _ in range(rng.randint(1, 3)):
+        row = []
+        for _ in range(rng.randint(0, 4)):
+            term = (rng.randrange(ncols), step * rng.randrange(n), rng.choice((-2, -1, 1, 2, 3)))
+            row.append(term)
+            if rng.random() < 0.3:
+                j, e, c = term
+                row.append((j, e, -c))
+        base.append(row)
+    rows = [list(r) for r in base]
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(base), rng.choice(base)
+        s, m = step * rng.randrange(n), rng.choice((-1, 1, 2))
+        rows.append(a + [(j, (e + s) % n, m * c) for j, e, c in b])
+    rows.extend([] for _ in range(rng.randint(0, 2)))
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+class TestSparseRows:
+    """``certified_rank`` reads the sparse rows (j, e, c) straight; exact
+    integer elimination by ``CycContext.rank`` on the same rows is the
+    oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_certified_rank_matches_elimination(self, n):
+        import random
+
+        rng = random.Random(1200 + n)
+        ctx = CycContext(n)
+        fallback = reduced = 0
+        for _ in range(25):
+            rows, ncols = _sparse_planted(rng, n)
+            rank, certified = certified_rank(rows, ncols, n)
+            assert rank == ctx.rank(rows, ncols), (n, rows)
+            fallback += not certified
+            reduced += math.gcd(n, *(e for row in rows for _, e, _ in row)) > 1
+        assert fallback
+        if n > 1:
+            assert reduced
+
+    def test_terms_that_cancel_leave_a_zero_entry(self):
+        for n in (1, 3, 8):
+            ctx = CycContext(n)
+            zero = [[(0, 1 % n, 2), (0, 1 % n, -2)], []]
+            assert certified_rank(zero, 1, n)[0] == ctx.rank(zero, 1) == 0
+            # a repeated (column, exponent) pair is the sum of its terms
+            rows = [[(0, 0, 1), (0, 0, 1), (1, 1 % n, 1)], [(0, 0, 2), (1, 1 % n, 1)]]
+            assert certified_rank(rows, 2, n)[0] == ctx.rank(rows, 2) == 1
+        # 1 + zeta + zeta^2 = 0 in Z[zeta_3]
+        assert certified_rank([[(0, 0, 1), (0, 1, 1), (0, 2, 1)]], 1, 3)[0] == 0
+
+    def test_rows_name_columns_inside_the_width(self):
+        with pytest.raises(ValueError, match="outside 2 columns"):
+            CycContext(5).rank([[(2, 0, 1)]], 2)
+
+    def test_trivial_factor_residue_map_counts(self, monkeypatch):
+        # the norm-bound fallback at a product character with one trivial
+        # factor takes exactly as many residue maps as the entry-mapping
+        # form of the Jacobian took
+        from braidhom.cohomology import h1_dim, seeded_rng
+        from braidhom.presentations import Character, catalog, product_character, surface_presentation
+
+        calls = []
+        rank_mod = cyclotomic._rank_mod
+        monkeypatch.setattr(cyclotomic, "_rank_mod", lambda M, ncols, q: calls.append(q) or rank_mod(M, ncols, q))
+        p = catalog("product(surface:2,surface:2)")
+        f = surface_presentation(2).alphabet
+        rng = seeded_rng(530)
+        counts = []
+        for n in (23, 60, 241):
+            b = Character(f, n, [rng.randrange(n) for _ in f.names])
+            calls.clear()
+            assert h1_dim(p, product_character(p, Character(f, n), b)) == 2
+            counts.append(len(calls))
+        assert counts == [9, 6, 89]

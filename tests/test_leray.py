@@ -485,7 +485,7 @@ class TestMembership:
             presentations, "surface_presentation", lambda g: builds.append(g) or build(g)
         )
         monkeypatch.setattr(leray, "h1_dim", lambda p, chi: chars.append(chi) or h1(p, chi))
-        leray.factor_presentation.cache_clear()
+        presentations.catalog.cache_clear()
         leray._factor_h1.cache_clear()
         sigma = nontrivial(G2_AB, 3, a1=1)
         one = Character(G2_AB, 1)

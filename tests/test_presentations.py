@@ -497,6 +497,34 @@ class TestCharacter:
         with pytest.raises(AlphabetMismatchError):
             Character.from_json(p.alphabet, {"N": 3, "values": {"zz": 1}})
 
+    @pytest.mark.parametrize(
+        "values",
+        [[1.5, True], [1, True], [1, 2.0], [1, "2"], [1, Fraction(2)], {"a": 1.0}, {"b": False}],
+    )
+    def test_constructor_refuses_non_int_exponents(self, values):
+        # int() would read 1.5 and True as 1, so exponents are refused
+        # unless they are ints, by position and by name alike
+        p = surface_presentation(1)
+        with pytest.raises(InputError, match="must be an integer"):
+            Character(p.alphabet, 3, values)
+
+    @pytest.mark.parametrize("order", [3.0, True, "3", Fraction(3)])
+    def test_constructor_refuses_non_int_order(self, order):
+        p = surface_presentation(1)
+        with pytest.raises(InputError, match="order must be an integer"):
+            Character(p.alphabet, order, [1, 2])
+
+    def test_constructor_takes_int_exponents_either_way(self):
+        p = surface_presentation(1)
+        by_position = Character(p.alphabet, 3, [4, -1])
+        assert by_position.exponents == (1, 2)
+        assert by_position == Character(p.alphabet, 3, {"a": 4, "b": -1})
+        assert Character(p.alphabet, 3, (e for e in [0, 5])).exponents == (0, 2)
+        with pytest.raises(InputError, match="expected 2 exponents, got 1"):
+            Character(p.alphabet, 3, [1])
+        with pytest.raises(InputError, match="must be positive"):
+            Character(p.alphabet, 0, [1, 2])
+
     @given(
         exps=st.tuples(*(st.integers(0, 11) for _ in range(4))),
         raw=st.lists(

@@ -152,18 +152,25 @@ class TestParseAgainstReference:
 
 
 # Fox derivatives are tested in evaluated form, on the rows of the
-# production Jacobian: at a character each entry is an element of the
-# group ring Z[Z/N], a map from exponents e to the coefficient of zeta^e.
+# production Jacobian: at a character a row is a list of terms (j, e, c),
+# c * zeta^e in column j, which ``fox_row`` gathers into one element of
+# the group ring Z[Z/N] per generator, a map from exponents e to the
+# coefficient of zeta^e.
 
 SIX = Alphabet(["x%d" % j for j in range(6)])
 
 
 def fox_row(w, chi):
-    """d(w)/dx_j at ``chi`` for every generator j, by ``fox_jacobian``."""
+    """d(w)/dx_j at ``chi`` for every generator j, by ``fox_jacobian``.
+    Each (j, e) appears in at most one term, and no term is zero."""
+    row = [{} for _ in chi.exponents]
     if w.is_identity:
-        return [{} for _ in chi.exponents]
+        return row
     p = Presentation(chi.alphabet, (w,))
-    return fox_jacobian(p, chi).rows[0]
+    for j, e, c in fox_jacobian(p, chi).rows[0]:
+        assert c and e not in row[j]
+        row[j][e] = c
+    return row
 
 
 def ring_add(*terms):
