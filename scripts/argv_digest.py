@@ -62,16 +62,21 @@ def process_caches():
     return list(found.values())
 
 
-def plan_argvs(name, seed, workdir):
-    """The distinct argvs of one workload's plan, first occurrence first."""
+def plan_ops(name, seed, workdir):
+    """Every operation of one workload's plan, prologue then pool rounds,
+    in plan order."""
     builders = {
         "jumploci": lambda: workloads.jumploci(seed, workdir, workloads.JumpOracle({})),
         "fragments": lambda: workloads.fragments(seed, workdir, workloads.SphereOracle()),
         "fields": lambda: workloads.fields(seed, workdir),
     }
     plan = builders[name]()
-    ops = plan.prologue + [op for ops in plan.rounds for op in ops]
-    return list(dict.fromkeys(tuple(op.argv) for op in ops))
+    return plan.prologue + [op for ops in plan.rounds for op in ops]
+
+
+def plan_argvs(name, seed, workdir):
+    """The distinct argvs of one workload's plan, first occurrence first."""
+    return list(dict.fromkeys(tuple(op.argv) for op in plan_ops(name, seed, workdir)))
 
 
 def run(argv):

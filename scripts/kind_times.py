@@ -21,30 +21,15 @@ import argparse
 import contextlib
 import io
 import json
-import pathlib
 import sys
 import tempfile
 import time
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import workloads  # noqa: E402
+from argv_digest import plan_ops  # noqa: E402  (puts src/ and perfbench/ on sys.path)
 from braidhom import cli  # noqa: E402
 
 PASSES = 5
-
-
-def plan_ops(name, seed, workdir):
-    builders = {
-        "jumploci": lambda: workloads.jumploci(seed, workdir, workloads.JumpOracle({})),
-        "fragments": lambda: workloads.fragments(seed, workdir, workloads.SphereOracle()),
-        "fields": lambda: workloads.fields(seed, workdir),
-    }
-    plan = builders[name]()
-    return plan.prologue + [op for ops in plan.rounds for op in ops]
 
 
 def timed(argv):

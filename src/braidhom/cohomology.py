@@ -1,14 +1,14 @@
 """Twisted cohomology of finitely presented groups in degrees 0 and 1.
 
 Everything here runs off a presentation and a coefficient system (a
-one dimensional character with values zeta_N^e, or a rational matrix
-representation).  H^0 is the joint kernel of the generator actions
-minus the identity; H^1 comes from the kernel of the Fox Jacobian of
-the relators.  Every rank goes through ``cyclotomic.certified_rank``:
-at a character the Jacobian has entries in Z[zeta_N], and at a rational
-representation each row is scaled to integers, a matrix over
-Z[zeta_1] = Z.  Its rank is taken over F_q wherever that rank is
-provably exact, and over enough residue maps otherwise (see
+one dimensional character with values zeta_N^e, or a representation by
+unimodular integer matrices).  H^0 is the joint kernel of the generator
+actions minus the identity; H^1 comes from the kernel of the Fox
+Jacobian of the relators.  Every rank goes through
+``cyclotomic.certified_rank``: at a character the Jacobian has entries
+in Z[zeta_N], and at a matrix representation it is an integer matrix,
+a matrix over Z[zeta_1] = Z.  Its rank is taken over F_q wherever that
+rank is provably exact, and over enough residue maps otherwise (see
 ``h1_dim``).  Degree one needs no asphericity hypothesis: crossed
 homomorphisms modulo principal ones are computed correctly from any
 presentation of the group.
@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .cyclotomic import certified_rank
 from .errors import InputError, OutOfRangeError, PreconditionError
-from .exactlin import AbelianProfile, IntMatrix, QMat, cokernel_profile, _exact_rows, _times
+from .exactlin import AbelianProfile, IntMatrix, cokernel_profile, _times
 from .presentations import (
     Character,
     CharacterTuple,
@@ -62,9 +60,9 @@ def abelianization(p: Presentation) -> AbelianProfile:
 # coefficient systems
 #
 # A coefficient system is either a Character (one dimensional, values
-# zeta_N^e, handled through integer exponents) or a MatrixRep (rational
-# matrices, the adjoint action included).  A MatrixRep hands out the
-# images of a generator and of its inverse as the columns
+# zeta_N^e, handled through integer exponents) or a MatrixRep (unimodular
+# integer matrices, the adjoint action included).  A MatrixRep hands out
+# the images of a generator and of its inverse as the columns
 # :func:`exactlin._times` reads, through ``phi.columns``, built once on
 # construction.  The Fox scan and H^0 both read them there; no word is
 # evaluated for either.
@@ -95,8 +93,8 @@ class FoxJacobian:
     is the space of 1-cocycles.  At a character (``order`` N) each row is
     sparse, as ``cyclotomic`` stores matrices over Z[zeta_N]: terms
     (j, e, c), c * zeta^e in column j, no (j, e) twice and no c zero.  At
-    a matrix representation (``order`` None) rows are dense exact
-    rationals, ints where the denominator is 1 and Fractions elsewhere.
+    a matrix representation (``order`` None) rows are dense lists of
+    ints.
     """
 
     __slots__ = ("rows", "ncols", "dim", "order")
@@ -110,8 +108,8 @@ class FoxJacobian:
     def rank(self, upper: Optional[int] = None) -> int:
         """Exact rank, taken over F_q by ``cyclotomic.certified_rank``:
         at a character over Z[zeta_N], at a matrix representation over
-        Z = Z[zeta_1] once each row is scaled to integers.  ``upper``, a
-        proven upper bound, lets the first residue map settle it."""
+        Z = Z[zeta_1].  ``upper``, a proven upper bound, lets the first
+        residue map settle it."""
         if not self.rows or not self.ncols:
             return 0
         if self.order is None:
@@ -123,17 +121,11 @@ class FoxJacobian:
 
 
 def _rational_rank(rows, ncols: int, upper: Optional[int] = None) -> int:
-    """Rank over Q of a matrix of ints and Fractions.  Scaling a row by
-    the lcm of its denominators keeps the rank, and an integer c in
-    column j is the term (j, 0, c) over Z[zeta_1], so the certificate at
-    order 1 applies.  A row without a Fraction is not scaled."""
-    scaled = []
-    for row in rows:
-        if Fraction in map(type, row):
-            den = lcm(*(x.denominator for x in row))
-            row = [x.numerator * (den // x.denominator) for x in row]
-        scaled.append([(j, 0, x) for j, x in enumerate(row) if x])
-    return certified_rank(scaled, ncols, 1, upper)[0]
+    """Rank over Q of a dense integer matrix: an integer c in column j is
+    the term (j, 0, c) over Z[zeta_1], so the certificate at order 1
+    applies."""
+    terms = [[(j, 0, x) for j, x in enumerate(row) if x] for row in rows]
+    return certified_rank(terms, ncols, 1, upper)[0]
 
 
 def _character_row(word, exps, order: int) -> list[tuple[int, int, int]]:
@@ -199,7 +191,6 @@ def fox_jacobian(p: Presentation, phi) -> FoxJacobian:
             for b in blocks:
                 row.extend(b[i])
             rows.append(row)
-    rows = _exact_rows(rows)
     return FoxJacobian(rows, k * d, d)
 
 
@@ -440,13 +431,13 @@ def _elementary(rng: random.Random, spread: int, lower: bool) -> list[list[int]]
     return [[1, a], [0, 1]]
 
 
-def _adjugate(m: QMat) -> QMat:
+def _adjugate(m: IntMatrix) -> IntMatrix:
     # [[d, -b], [-c, a]], the inverse of a 2 x 2 matrix of determinant 1
     (a, b), (c, d) = m.rows
-    return QMat.from_exact([[d, -b], [-c, a]])
+    return IntMatrix([[d, -b], [-c, a]], ncols=2)
 
 
-def _random_sl2(rng: random.Random, spread: int) -> tuple[QMat, QMat]:
+def _random_sl2(rng: random.Random, spread: int) -> tuple[IntMatrix, IntMatrix]:
     # an upper and a lower elementary factor in random order, plus an
     # optional third; never triangular, never the identity.  The product
     # has determinant 1, so its inverse is its adjugate.
@@ -457,10 +448,9 @@ def _random_sl2(rng: random.Random, spread: int) -> tuple[QMat, QMat]:
     ]
     if rng.random() < 0.5:
         factors.append(_elementary(rng, spread, rng.random() < 0.5))
-    m = factors[0]
+    m = IntMatrix(factors[0], ncols=2)
     for f in factors[1:]:
-        m = _times(m, list(zip(*f)))
-    m = QMat.from_exact(m)
+        m = m @ IntMatrix(f, ncols=2)
     return m, _adjugate(m)
 
 
@@ -487,8 +477,8 @@ def random_surface_sl2(
     """
     if g < 1:
         raise OutOfRangeError("need genus at least 1")
-    images: list[QMat] = []
-    inverses: list[QMat] = []
+    images: list[IntMatrix] = []
+    inverses: list[IntMatrix] = []
     for _ in range(g // 2):
         x, xinv = _random_sl2(rng, spread)
         y, yinv = _random_sl2(rng, spread)
@@ -496,9 +486,9 @@ def random_surface_sl2(
         inverses.extend([xinv, yinv])
         if rng.randint(0, 1):
             # Z = [X, Y]
-            z = x * y * xinv * yinv
+            z = x @ y @ xinv @ yinv
             zinv = _adjugate(z)
-            mirror = [z * y * zinv, z * x * zinv]
+            mirror = [z @ y @ zinv, z @ x @ zinv]
             images.extend(mirror)
             inverses.extend(_adjugate(m) for m in mirror)
         else:
@@ -506,7 +496,7 @@ def random_surface_sl2(
             inverses.extend([yinv, xinv])
     if g % 2:
         w, winv = _random_sl2(rng, spread)
-        w2 = w * w
+        w2 = w @ w
         images.extend([w, w2])
         inverses.extend([winv, _adjugate(w2)])
     p = surface_presentation(g) if presentation is None else presentation

@@ -10,16 +10,15 @@ of the same order in F_q for a prime q = 1 (mod N): that rank is a lower
 bound on the true rank, and when it meets an upper bound the caller can
 prove, it is the rank.  Otherwise the largest rank over enough such maps
 is exact by a norm bound.  At N = 1 the same certificate ranks integer
-matrices, so a rational matrix is ranked once its rows are scaled to
-integers, each entry c the term (j, 0, c).
+matrices, each entry c in column j the term (j, 0, c).
 
 The independent route that rank is tested against is exact integer
 elimination: ``CycContext.matrix`` writes an element, a mapping from
 exponents e to coefficients c, as the integer matrix of multiplication
 by it on the power basis (its regular representation), and
 ``CycContext.rank`` takes the Smith form of the block matrix of the same
-sparse rows.  ``rank_kernel`` eliminates over any exact field; over Q it
-is the oracle of the tangent acceptance check.
+sparse rows.  ``rank_kernel`` ranks by elimination over any exact field;
+over Q it is the oracle of the tangent acceptance check.
 """
 
 from __future__ import annotations
@@ -181,49 +180,35 @@ def _reduce(ctx: CycContext, coeffs: list) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Generic exact rank and kernel over any field.
+# Generic exact rank over any field.
 
 
-def rank_kernel(rows: list[list], ncols: int, one):
-    """Row reduce a matrix over an exact field.
+def rank_kernel(rows: list[list], ncols: int, one) -> int:
+    """The rank of a matrix over an exact field, by Gaussian elimination.
 
-    Entries must support +, -, *, /, bool.  Returns (rank, nullity,
-    kernel_basis) where each kernel vector has length ncols and entries
-    in the same field.  ``one`` is the field's multiplicative identity.
+    Entries must support +, -, *, /, bool; ``one`` is the field's
+    multiplicative identity, so int rows are ranked over Q when it is
+    Fraction(1).  No kernel is built; the name is the one the benchmark
+    tracer (``perfbench/tracing.py``) times it under.
     """
-    zero = one - one
     M = [list(r) for r in rows]
     for r in M:
         if len(r) != ncols:
             raise ValueError("row width disagrees with ncols")
-    pivots: list[int] = []
     rank = 0
     for col in range(ncols):
-        piv = None
-        for i in range(rank, len(M)):
-            if M[i][col]:
-                piv = i
-                break
+        piv = next((i for i in range(rank, len(M)) if M[i][col]), None)
         if piv is None:
             continue
         M[rank], M[piv] = M[piv], M[rank]
-        inv_entry = one / M[rank][col]
-        M[rank] = [e * inv_entry for e in M[rank]]
-        for i in range(len(M)):
-            if i != rank and M[i][col]:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
-        pivots.append(col)
+        top = M[rank]
+        inv_entry = one / top[col]
+        for i in range(rank + 1, len(M)):
+            if M[i][col]:
+                f = M[i][col] * inv_entry
+                M[i] = [a - f * b for a, b in zip(M[i], top)]
         rank += 1
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = zero - M[r][fc]
-        basis.append(vec)
-    return rank, len(free_cols), basis
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Dense arbitrary precision matrices, Smith normal form with full unimodular
-transforms, fraction free determinants, and a small rational matrix
-type used for group representations, whose entries are ints wherever
-the denominator is 1 and Fractions only elsewhere; its inverse and
-determinant clear denominators and run fraction free on integers.
+Dense arbitrary precision integer matrices, Smith normal form with full
+unimodular transforms, fraction free determinants, and the fraction free
+inverse of a unimodular matrix, which is what integral group
+representations need.
 
 Elementary divisors come from sparse unit-pivot elimination in front of
 the same dense engine.  One pass over the columns first takes the units
@@ -15,18 +14,16 @@ other row is densest, so fill-in gathers on one hub row.  Longer
 columns spread their fill-in over several rows, so ties among them are
 left in set order.
 
-Everything here is pure Python on int and Fraction; no floating point is
-involved anywhere.
+Everything here is pure Python on int; no floating point is involved
+anywhere.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, repeat
-from math import lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 
@@ -89,6 +86,52 @@ class IntMatrix:
         # with no rows to zip, ``other`` still has ncols empty columns
         cols = list(zip(*other.rows)) or [()] * other.ncols
         return IntMatrix(_times(self.rows, cols), ncols=other.ncols)
+
+    def _entrywise(self, other: "IntMatrix", op) -> "IntMatrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(
+                "shape mismatch: %dx%d and %dx%d"
+                % (self.nrows, self.ncols, other.nrows, other.ncols)
+            )
+        rows = [list(map(op, r, s)) for r, s in zip(self.rows, other.rows)]
+        return IntMatrix(rows, ncols=self.ncols)
+
+    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._entrywise(other, add)
+
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._entrywise(other, sub)
+
+    def inverse(self) -> "IntMatrix":
+        """The integral inverse of a unimodular matrix, by fraction free
+        Gauss-Jordan on [A | I].
+
+        Every division by the previous pivot is exact, and the pivot of
+        step k is a k x k minor of A up to sign, so the last pivot p is
+        +-det(A).  At the end the left block is p * I and the right one
+        p * A^-1; with p = +-1 the inverse is p times the right block.
+        Raises ValueError unless A is square with determinant +-1.
+        """
+        n = self.nrows
+        if n != self.ncols:
+            raise ValueError("inverse of a nonsquare matrix")
+        M = [r + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)]
+        prev = 1
+        for k in range(n):
+            piv = next((i for i in range(k, n) if M[i][k]), None)
+            if piv is None:
+                raise ValueError("singular matrix")
+            M[k], M[piv] = M[piv], M[k]
+            Mk = M[k]
+            p = Mk[k]
+            for i in range(n):
+                if i != k:
+                    f = M[i][k]
+                    M[i] = [(p * a - f * c) // prev for a, c in zip(M[i], Mk)]
+            prev = p
+        if prev != 1 and prev != -1:
+            raise ValueError("matrix is not unimodular: |det| = %d" % abs(prev))
+        return IntMatrix([[prev * e for e in r[n:]] for r in M], ncols=n)
 
 
 @dataclass(frozen=True)
@@ -434,9 +477,11 @@ def elementary_divisors(a: IntMatrix) -> tuple[int, ...]:
     return column_divisors(columns)
 
 
-def _bareiss(M: list[list[int]]) -> int:
-    """Determinant of the square integer matrix with rows ``M`` by
-    fraction free (Bareiss) elimination; ``M`` is overwritten."""
+def bareiss_determinant(a: IntMatrix) -> int:
+    """Exact determinant by fraction free (Bareiss) elimination."""
+    if a.nrows != a.ncols:
+        raise ValueError("determinant of a nonsquare matrix")
+    M = [r[:] for r in a.rows]
     n = len(M)
     if n == 0:
         return 1
@@ -457,13 +502,6 @@ def _bareiss(M: list[list[int]]) -> int:
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
-
-
-def bareiss_determinant(a: IntMatrix) -> int:
-    """Exact determinant by fraction free (Bareiss) elimination."""
-    if a.nrows != a.ncols:
-        raise ValueError("determinant of a nonsquare matrix")
-    return _bareiss([r[:] for r in a.rows])
 
 
 def is_unimodular(a: IntMatrix) -> bool:
@@ -510,144 +548,10 @@ def cokernel_profile(a: IntMatrix) -> AbelianProfile:
     return AbelianProfile(a.nrows - rank, tuple(d for d in divisors if d > 1))
 
 
-# ---------------------------------------------------------------------------
-# Small rational matrices for representations.
-
-
-def _exact(e) -> int | Fraction:
-    """An exact rational entry: an int when its denominator is 1, a
-    Fraction otherwise.  Floats are refused; they are not exact."""
-    if isinstance(e, float):
-        raise TypeError("QMat entries must be exact rationals, got a float")
-    q = e if isinstance(e, Fraction) else Fraction(e)
-    return q.numerator if q.denominator == 1 else q
-
-
-def _ratio(a: int, b: int) -> int | Fraction:
-    """The exact quotient a / b of two ints: an int when b divides a."""
-    q, r = divmod(a, b)
-    return Fraction(a, b) if r else q
-
-
-def _exact_rows(rows: Iterable[Iterable[int | Fraction]]) -> list[list[int | Fraction]]:
-    """Rows whose entries are sums and products of exact entries, with
-    every Fraction of denominator 1 turned back into an int; there is
-    no float to refuse, since exact operands give exact results."""
-    return [
-        [e if type(e) is int else (e.numerator if e.denominator == 1 else e) for e in r]
-        for r in rows
-    ]
-
-
 def _times(rows: Sequence[Sequence], cols: Sequence[Sequence]) -> list[list]:
     """The product of a matrix given by its rows and one given by its
     columns, as plain row lists."""
     return [[sum(map(mul, r, c)) for c in cols] for r in rows]
-
-
-class QMat:
-    """Dense square matrix over Q used for representation images.
-
-    Each entry is an int when its denominator is 1 and a Fraction
-    otherwise, so integer representations never build a Fraction.
-    Supports sums, products, inverse, determinant and scalar action,
-    which is what word evaluation and adjoint construction need.
-    """
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, rows: Iterable[Sequence[Fraction | int]]):
-        self.rows = [[e if type(e) is int else _exact(e) for e in r] for r in rows]
-        self.n = len(self.rows)
-        if any(len(r) != self.n for r in self.rows):
-            raise ValueError("QMat must be square")
-
-    @classmethod
-    def from_exact(cls, rows: Iterable[Iterable[int | Fraction]]) -> "QMat":
-        """Wrap the square result of exact arithmetic through
-        :func:`_exact_rows`, without the constructor's float check."""
-        m = object.__new__(cls)
-        m.rows = _exact_rows(rows)
-        m.n = len(m.rows)
-        return m
-
-    @classmethod
-    def identity(cls, n: int) -> "QMat":
-        return cls.from_exact([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, n: int) -> "QMat":
-        return cls.from_exact([[0] * n for _ in range(n)])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QMat) and self.rows == other.rows
-
-    def __repr__(self) -> str:
-        return "QMat(%r)" % (self.rows,)
-
-    def __add__(self, other: "QMat") -> "QMat":
-        return QMat.from_exact(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other: "QMat") -> "QMat":
-        return QMat.from_exact(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, QMat):
-            return QMat.from_exact(_times(self.rows, list(zip(*other.rows))))
-        if isinstance(other, (int, Fraction)):
-            return QMat.from_exact([[e * other for e in r] for r in self.rows])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def _cleared(self) -> tuple[list[list[int]], int]:
-        """(B, d) with B an integer matrix and self = B / d, d > 0 the
-        least common denominator of the entries; an integer matrix is
-        copied as it is."""
-        rows = self.rows
-        if not any(Fraction in map(type, r) for r in rows):
-            return [r[:] for r in rows], 1
-        d = lcm(*(e.denominator for r in rows for e in r))
-        return [[e.numerator * (d // e.denominator) for e in r] for r in rows], d
-
-    def determinant(self) -> int | Fraction:
-        """det(B / d) = det(B) / d^n, with det(B) by Bareiss on the
-        cleared rows."""
-        b, d = self._cleared()
-        return _ratio(_bareiss(b), d**self.n)
-
-    def inverse(self) -> "QMat":
-        """Fraction free Gauss-Jordan on the integer [B | I], B = d * self.
-
-        Every division by the previous pivot is exact, and at the end
-        the left block is p * I and the right one p * B^-1 for the last
-        pivot p, so the inverse d * (right block) / p takes one division
-        per entry.
-        """
-        n = self.n
-        b, d = self._cleared()
-        M = [r + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(b)]
-        prev = 1
-        for k in range(n):
-            piv = next((i for i in range(k, n) if M[i][k]), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            M[k], M[piv] = M[piv], M[k]
-            Mk = M[k]
-            p = Mk[k]
-            for i in range(n):
-                if i != k:
-                    f = M[i][k]
-                    M[i] = [(p * a - f * c) // prev for a, c in zip(M[i], Mk)]
-            prev = p
-        return QMat.from_exact([[_ratio(d * e, prev) for e in r[n:]] for r in M])
-
-    def is_identity(self) -> bool:
-        return self == QMat.identity(self.n)
 
 
 __all__ = [
@@ -660,5 +564,4 @@ __all__ = [
     "is_unimodular",
     "AbelianProfile",
     "cokernel_profile",
-    "QMat",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .cohomology import abelianization, h1_dim, kunneth_h1
+from .cohomology import abelianization, h1_dim
 from .errors import (
     AlphabetMismatchError,
     InputError,
@@ -226,10 +226,9 @@ def _check_tuple(space: SpaceSpec, n: int, rho: CharacterTuple) -> None:
 @lru_cache(maxsize=4096)
 def _factor_h1(space: SpaceSpec, chi: Character) -> int:
     """First cohomology of the factor group of ``space`` at ``chi``,
-    remembered across calls: tuples on one space share components, and
-    the support rule reads each component's h1 again for the support
-    pair.  Only the support rule reads it; every oracle computes h1 on
-    its own.  A call that raises leaves no entry.
+    remembered across calls, since tuples on one space share
+    components.  Only the support rule reads it; every oracle computes
+    h1 on its own.  A call that raises leaves no entry.
 
     Memory: an entry takes about 0.14 KiB of its own, 0.6 MiB when all
     4096 are full, and points to the caller's character.  At genus 2000
@@ -252,18 +251,19 @@ def _support_pair(rho: CharacterTuple) -> Optional[tuple[int, int]]:
 
 
 def _h1_on_factor(space: SpaceSpec, n: int, rho: CharacterTuple) -> int:
+    """The support rule.  h0 of a rank one character is 1 when it is
+    trivial and 0 otherwise, so the Kunneth sum over the n factors is h1
+    of the one nontrivial component, or 0 when two or more are
+    nontrivial; then only the support pair's class can add 1."""
     if rho.is_trivial:
         return b1_pure_braid(space, n).free_rank
-    value = kunneth_h1(
-        [
-            (int(rho.component_trivial(i)), _factor_h1(space, rho.component(i)))
-            for i in range(n)
-        ]
-    )
-    pair = _support_pair(rho)
-    if pair is not None and _factor_h1(space, rho.component(pair[0])) == 0:
-        value += 1
-    return value
+    moved = [k for k in range(n) if not rho.component_trivial(k)]
+    if len(moved) == 1:
+        return _factor_h1(space, rho.component(moved[0]))
+    if len(moved) == 2 and rho.pair_product_trivial(*moved):
+        # the support pair (see _support_pair)
+        return int(_factor_h1(space, rho.component(moved[0])) == 0)
+    return 0
 
 
 def h1_twisted_pure_braid(space: SpaceSpec, n: int, rho: CharacterTuple) -> int:

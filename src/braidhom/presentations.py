@@ -9,11 +9,11 @@ the braid group embeds faithfully.  A frozen snapshot in the test suite
 pins the derived table.
 
 Representation objects come in two flavours: one dimensional characters
-with values zeta_N^e, stored as integer exponents, and rational matrix
-representations, the adjoint action of one among them.  The Fox calculus
-in :mod:`braidhom.cohomology` evaluates relators through them: characters
-by exponent sums, matrix representations through the columns of their
-images, built once on construction.
+with values zeta_N^e, stored as integer exponents, and representations
+by unimodular integer matrices, the adjoint action of one among them.
+The Fox calculus in :mod:`braidhom.cohomology` evaluates relators
+through them: characters by exponent sums, matrix representations
+through the columns of their images, built once on construction.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import string
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -31,7 +30,7 @@ from .errors import (
     OutOfRangeError,
     PresentationParseError,
 )
-from .exactlin import QMat, _times
+from .exactlin import IntMatrix, _times, bareiss_determinant
 from .words import Alphabet, Word, generator_word
 
 __all__ = [
@@ -731,17 +730,19 @@ def product_character(product: Presentation, *components: Character) -> Characte
 
 
 class MatrixRep:
-    """A representation by invertible rational matrices.
+    """A representation by unimodular integer matrices.
 
-    ``flavor`` is "SL" (unit determinant enforced per generator) or "GL"
-    (any nonzero determinant).  The columns of the image of every
-    generator and of its inverse are built once, on construction, as the
-    plain lists :func:`exactlin._times` reads: ``columns`` hands them to
-    the Fox scan and H^0, and ``word_value``, ``image`` and
-    ``inverse_image`` are read off them.  ``inverses``, when the caller
-    already holds them, lists the inverse images in generator order;
-    each is checked by one product against the identity.  Otherwise each
-    image is inverted here.
+    ``images`` lists one square :class:`IntMatrix` per generator, in
+    generator order.  ``flavor`` is "SL" (determinant 1 per generator)
+    or "GL" (determinant +-1, the integer matrices whose inverses are
+    integral).  The columns of the image of every generator and of its
+    inverse are built once, on construction, as the plain lists
+    :func:`exactlin._times` reads: ``columns`` hands them to the Fox scan
+    and H^0, and ``word_value``, ``image`` and ``inverse_image`` are read
+    off them.  ``inverses``, when the caller already holds them, lists
+    the inverse images in generator order; each is checked by one
+    product against the identity.  Otherwise each image is inverted
+    here.
     """
 
     __slots__ = ("alphabet", "flavor", "dim", "_images", "_inverses")
@@ -749,43 +750,42 @@ class MatrixRep:
     def __init__(
         self,
         alphabet: Alphabet,
-        images: Mapping[str, QMat] | Sequence[QMat],
+        images: Sequence[IntMatrix],
         flavor: str = "SL",
-        inverses: Sequence[QMat] | None = None,
+        inverses: Sequence[IntMatrix] | None = None,
     ):
         if flavor not in ("SL", "GL"):
             raise InputError("flavor must be SL or GL, got %r" % flavor)
         k = len(alphabet)
-        if isinstance(images, Mapping):
-            if set(images) != set(alphabet.names):
-                raise InputError("images must cover exactly the generators")
-            mats = [images[name] for name in alphabet.names]
-        else:
-            mats = list(images)
-            if len(mats) != k:
-                raise InputError("expected %d images, got %d" % (k, len(mats)))
+        mats = list(images)
+        if len(mats) != k:
+            raise InputError("expected %d images, got %d" % (k, len(mats)))
         if not mats:
             raise InputError("matrix representation needs at least one generator")
-        d = mats[0].n
+        if not all(isinstance(m, IntMatrix) for m in mats):
+            raise InputError("images must be IntMatrix instances")
+        d = mats[0].nrows
+        units = (1,) if flavor == "SL" else (1, -1)
         for m in mats:
-            if not isinstance(m, QMat):
-                raise InputError("images must be QMat instances")
-            if m.n != d:
-                raise InputError("image sizes disagree")
-            det = m.determinant()
+            if m.nrows != d or m.ncols != d:
+                raise InputError("images must be square matrices of one size")
+            det = bareiss_determinant(m)
             if det == 0:
                 raise InputError("image matrix is singular")
-            if flavor == "SL" and det != 1:
-                raise InputError("SL flavor requires determinant 1, got %s" % det)
+            if det not in units:
+                raise InputError(
+                    "%s flavor requires determinant %s, got %d"
+                    % (flavor, " or ".join(map(str, units)), det)
+                )
         if inverses is None:
             inverses = [m.inverse() for m in mats]
         else:
             inverses = list(inverses)
             if len(inverses) != k:
                 raise InputError("expected %d inverse images, got %d" % (k, len(inverses)))
-            one = QMat.identity(d)
+            one = IntMatrix.identity(d)
             for i, (m, minv) in enumerate(zip(mats, inverses)):
-                if not isinstance(minv, QMat) or minv.n != d or m * minv != one:
+                if not isinstance(minv, IntMatrix) or minv.nrows != d or m @ minv != one:
                     raise InputError(
                         "inverse image of %s is not its inverse" % alphabet.names[i]
                     )
@@ -795,25 +795,23 @@ class MatrixRep:
         self._images = [list(zip(*m.rows)) for m in mats]
         self._inverses = [list(zip(*m.rows)) for m in inverses]
 
-    def image(self, gen: int | str) -> QMat:
-        i = gen if isinstance(gen, int) else self.alphabet.index_of(gen)
-        return QMat.from_exact(zip(*self._images[i]))
+    def image(self, gen: int) -> IntMatrix:
+        return IntMatrix(zip(*self._images[gen]), ncols=self.dim)
 
-    def inverse_image(self, gen: int | str) -> QMat:
+    def inverse_image(self, gen: int) -> IntMatrix:
         """The image of the inverse generator."""
-        i = gen if isinstance(gen, int) else self.alphabet.index_of(gen)
-        return QMat.from_exact(zip(*self._inverses[i]))
+        return IntMatrix(zip(*self._inverses[gen]), ncols=self.dim)
 
     def columns(self, gen: int, sign: int) -> list:
         """The columns of the image of the generator (``sign`` 1) or of
         its inverse (``sign`` -1), ready for :func:`exactlin._times`."""
         return self._images[gen] if sign == 1 else self._inverses[gen]
 
-    def word_value(self, w: Word) -> QMat:
-        out = QMat.identity(self.dim).rows
+    def word_value(self, w: Word) -> IntMatrix:
+        out = IntMatrix.identity(self.dim).rows
         for g, s in w.letters:
             out = _times(out, self.columns(g, s))
-        return QMat.from_exact(out)
+        return IntMatrix(out, ncols=self.dim)
 
     def adjoint_rep(self) -> "MatrixRep":
         """The conjugation action on trace zero matrices, a (d^2 - 1)
@@ -859,7 +857,7 @@ def _adjoint_columns(a: list, ainv: list) -> list[list]:
     B = list(zip(*ainv))
     off = [(k, l) for k in range(d) for l in range(d) if k != l]
 
-    def conjugate(i: int, j: int) -> tuple[list, int | Fraction]:
+    def conjugate(i: int, j: int) -> tuple[list, int]:
         # coordinates of a E_ij a^-1 and its trace
         Ai, Bj = a[i], B[j]
         coords = []
@@ -888,8 +886,9 @@ def validate_matrix_rep(p: Presentation, rep: MatrixRep) -> CharacterCheck:
     """Check that every relator maps to the identity matrix."""
     if rep.alphabet != p.alphabet:
         raise InputError("representation alphabet does not match the presentation")
+    one = IntMatrix.identity(rep.dim)
     for r in p.relators:
-        if not rep.word_value(r).is_identity():
+        if rep.word_value(r) != one:
             return CharacterCheck(False, r)
     return CharacterCheck(True)
 

@@ -35,7 +35,7 @@ from .cohomology import (
 )
 from .cyclotomic import rank_kernel
 from .errors import InputError
-from .exactlin import IntMatrix, QMat, is_unimodular, smith_normal_form
+from .exactlin import IntMatrix, is_unimodular, smith_normal_form
 from .leray import b1_pure_braid, h1_twisted_pure_braid, sigma1_membership
 from .presentations import (
     Character,
@@ -105,21 +105,21 @@ def _fox_identity_character(w, chi: Character) -> bool:
 
 
 def _fox_identity_matrix(w, rho: MatrixRep) -> bool:
-    """The identity over Q on the d x d blocks of the Jacobian."""
+    """The identity over Z on the d x d blocks of the Jacobian."""
     jac = fox_jacobian(Presentation(rho.alphabet, (w,)), rho)
     d = rho.dim
-    one = QMat.identity(d)
+    one = IntMatrix.identity(d)
     total = one - rho.word_value(w)
     for j in range(len(rho.alphabet)):
-        block = QMat([row[j * d : (j + 1) * d] for row in jac.rows])
-        total = total + block * (rho.image(j) - one)
-    return total == QMat.zeros(d)
+        block = IntMatrix([row[j * d : (j + 1) * d] for row in jac.rows], ncols=d)
+        total = total + block @ (rho.image(j) - one)
+    return total == IntMatrix.zeros(d, d)
 
 
 def criterion_fox_identity(seed: int = DEFAULT_SEED) -> CriterionResult:
     """The fundamental identity sum_j (dw/dx_j)(phi(x_j) - 1) = phi(w) - 1,
     evaluated through the production Fox Jacobian: exactly in Z[Z/N] at
-    a seeded character for every word, and over Q at a seeded integer
+    a seeded character for every word, and over Z at a seeded integer
     SL2 representation for every twentieth word."""
     rng = seeded_rng(seed + 1)
     alphabets = {k: Alphabet("x%d" % j for j in range(k)) for k in range(1, 7)}
@@ -415,26 +415,26 @@ def criterion_kunneth_cross(seed: int = DEFAULT_SEED) -> CriterionResult:
 # 8: character variety tangent dimensions
 
 
-def _traceless_basis(d: int) -> list[QMat]:
+def _traceless_basis(d: int) -> list[IntMatrix]:
     """Basis of trace zero d x d matrices: diagonal differences then E_ij."""
     basis = []
     for i in range(d - 1):
         rows = [[0] * d for _ in range(d)]
         rows[i][i] = 1
         rows[i + 1][i + 1] = -1
-        basis.append(QMat(rows))
+        basis.append(IntMatrix(rows, ncols=d))
     for i in range(d):
         for j in range(d):
             if i != j:
                 rows = [[0] * d for _ in range(d)]
                 rows[i][j] = 1
-                basis.append(QMat(rows))
+                basis.append(IntMatrix(rows, ncols=d))
     return basis
 
 
-def _traceless_coords(m: QMat) -> list[int | Fraction]:
+def _traceless_coords(m: IntMatrix) -> list[int]:
     """Coordinates in the `_traceless_basis` order; trace must vanish."""
-    d = m.n
+    d = m.nrows
     diag = [m.rows[i][i] for i in range(d)]
     if sum(diag) != 0:
         raise ValueError("matrix has nonzero trace")
@@ -450,11 +450,11 @@ def _traceless_coords(m: QMat) -> list[int | Fraction]:
     return coords
 
 
-def _adjoint_by_conjugation(a: QMat, ainv: QMat) -> QMat:
+def _adjoint_by_conjugation(a: IntMatrix, ainv: IntMatrix) -> IntMatrix:
     """Ad(a) by conjugating each `_traceless_basis` element, the oracle
     for the closed form that `MatrixRep.adjoint_rep` reads off the entries."""
-    cols = [_traceless_coords(a * b * ainv) for b in _traceless_basis(a.n)]
-    return QMat(zip(*cols))
+    cols = [_traceless_coords(a @ b @ ainv) for b in _traceless_basis(a.nrows)]
+    return IntMatrix(zip(*cols), ncols=len(cols))
 
 
 def _tangent_by_elimination(pres: Presentation, rho: MatrixRep) -> tuple[int, int]:
@@ -468,10 +468,10 @@ def _tangent_by_elimination(pres: Presentation, rho: MatrixRep) -> tuple[int, in
         flavor="GL",
     )
     jac = fox_jacobian(pres, ad)
-    z1 = jac.ncols - rank_kernel(jac.rows, jac.ncols, Fraction(1))[0]
-    ident = QMat.identity(ad.dim)
+    z1 = jac.ncols - rank_kernel(jac.rows, jac.ncols, Fraction(1))
+    ident = IntMatrix.identity(ad.dim)
     moves = [row for g in range(pres.num_generators) for row in (ad.image(g) - ident).rows]
-    return z1, ad.dim - rank_kernel(moves, ad.dim, Fraction(1))[0]
+    return z1, ad.dim - rank_kernel(moves, ad.dim, Fraction(1))
 
 
 def criterion_tangent(seed: int = DEFAULT_SEED) -> CriterionResult:

@@ -117,6 +117,22 @@ class TestH1:
         assert code == 0
         assert json.loads(out) == {"anchors": [], "h1": 0, "mode": "exact"}
 
+    def test_support_rule_reads_h1_at_one_component_only(self, tmp_path, capsys):
+        # two nontrivial components and no support pair: the Kunneth sum
+        # is 0 whatever the factor h1, so no order is checked; a single
+        # nontrivial component past the limit is still refused
+        past = {"N": 10**6 + 3, "values": {"a1": 1, "b1": 0, "a2": 0, "b2": 0}}
+        other = {"N": 10**6 + 3, "values": {"a1": 0, "b1": 1, "a2": 0, "b2": 0}}
+        for components, code, h1 in (([past, other], 0, 0), ([past, TRIVIAL_GENUS2], 2, None)):
+            rho = write_json(tmp_path / "rho.json", {"components": components})
+            argv = ["twisted", "--space", "genus:2", "--n", "2", "--char", rho]
+            got, out, err = run_cli(argv, capsys)
+            assert got == code
+            if h1 is None:
+                assert "reduced character order %d is above the limit" % (10**6 + 3) in err
+            else:
+                assert json.loads(out)["h1"] == h1
+
     def test_presentation_file(self, tmp_path, capsys):
         pres = tmp_path / "free2.pres"
         pres.write_text("gens: x y\n", encoding="utf-8")
@@ -1081,8 +1097,10 @@ sys.exit(0 if first() is None else 1)
 
 def _jump_locus_argvs(tmp_path):
     """About 40 seeded twisted and membership argvs over genus:1, genus:2
-    and c-star.  Orders up to 4 make components recur across argvs, and
-    two files past the order limit check that a failure is not kept."""
+    and c-star.  Orders up to 4 make components recur across argvs, one
+    tuple with a single nontrivial component is asked by both commands,
+    so the second reads the first one's h1 when warm, and two files past
+    the order limit check that a failure is not kept."""
     rng = cohomology_module.seeded_rng(5150)
     argvs = []
     for k in range(38):
@@ -1095,6 +1113,10 @@ def _jump_locus_argvs(tmp_path):
         path = write_json(tmp_path / ("rho-%d.json" % k), rho.to_json())
         command = ("twisted", "membership")[k % 2]
         argvs.append([command, "--space", space, "--n", str(n), "--char", path])
+    single = {"N": 3, "values": {"a1": 1, "b1": 2, "a2": 0, "b2": 1}}
+    path = write_json(tmp_path / "single.json", {"components": [TRIVIAL_GENUS2, single]})
+    for command in ("twisted", "membership"):
+        argvs.append([command, "--space", "genus:2", "--n", "2", "--char", path])
     past = {"N": 10**6 + 3, "values": {"a1": 1, "b1": 0, "a2": 0, "b2": 0}}
     for k in range(2):
         path = write_json(tmp_path / ("past-%d.json" % k), {"components": [past, TRIVIAL_GENUS2]})

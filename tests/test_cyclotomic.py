@@ -19,7 +19,7 @@ from braidhom.cyclotomic import (
     splitting_root,
 )
 from braidhom.errors import OutOfRangeError
-from braidhom.exactlin import IntMatrix, bareiss_determinant
+from braidhom.exactlin import IntMatrix, bareiss_determinant, column_divisors
 
 
 class TestCyclotomicPolynomial:
@@ -197,24 +197,35 @@ small_fracs = st.fractions(
 )
 
 
+def _divisor_rank(rows, ncols):
+    """Rank over Q by an independent route: the number of nonzero
+    elementary divisors of the integer matrix whose rows are ``rows``,
+    each scaled by the lcm of its denominators."""
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        den = math.lcm(*(Fraction(x).denominator for x in row))
+        for j, x in enumerate(row):
+            if x:
+                columns[j][i] = int(x * den)
+    return len(column_divisors(columns))
+
+
 class TestRankKernel:
-    def test_rational_rank_and_kernel(self):
+    def test_rational_rank(self):
         one = Fraction(1)
         rows = [
             [Fraction(1), Fraction(2), Fraction(3)],
             [Fraction(2), Fraction(4), Fraction(6)],
             [Fraction(0), Fraction(1), Fraction(1)],
         ]
-        rank, nullity, basis = rank_kernel(rows, 3, one)
-        assert rank == 2 and nullity == 1
-        v = basis[0]
-        for r in rows:
-            assert sum(a * b for a, b in zip(r, v)) == 0
+        assert rank_kernel(rows, 3, one) == 2 == _divisor_rank(rows, 3)
+        # int rows are ranked over Q through ``one``
+        assert rank_kernel([[2, 4, 6], [3, 6, 9], [0, 0, 5]], 3, one) == 2
 
     def test_empty_matrix(self):
-        rank, nullity, basis = rank_kernel([], 3, Fraction(1))
-        assert rank == 0 and nullity == 3
-        assert len(basis) == 3
+        assert rank_kernel([], 3, Fraction(1)) == 0
+        with pytest.raises(ValueError):
+            rank_kernel([[1, 2]], 3, Fraction(1))
 
     def test_cyclotomic_rank_drop(self):
         # [[1, zeta], [zeta^-1, 1]] over Q(zeta_5): the second row is
@@ -242,14 +253,9 @@ class TestRankKernel:
             st.lists(small_fracs, min_size=3, max_size=3), min_size=0, max_size=4
         )
     )
-    def test_rank_nullity_theorem(self, rows):
+    def test_rank_matches_integer_divisors(self, rows):
         rows = [[Fraction(x) for x in r] for r in rows]
-        rank, nullity, basis = rank_kernel(rows, 3, Fraction(1))
-        assert rank + nullity == 3
-        assert len(basis) == nullity
-        for v in basis:
-            for r in rows:
-                assert sum(a * b for a, b in zip(r, v)) == 0
+        assert rank_kernel(rows, 3, Fraction(1)) == _divisor_rank(rows, 3)
 
 
 class TestModularPath:

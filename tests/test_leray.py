@@ -493,7 +493,8 @@ class TestMembership:
         m = sigma1_membership(GENUS2, 4, rho)
         assert m.components == ("pi_2",) and m.h1 == 2
         assert builds == [2]
-        assert len(chars) == 2 and set(chars) == set(rho.components)
+        # the support rule reads h1 only at the one nontrivial component
+        assert chars == [sigma]
         # a later call on the same space reuses the cached factor
         h1_twisted_pure_braid(GENUS2, 4, rho)
         assert factor_presentation(GENUS2).alphabet == G2_AB

@@ -17,7 +17,7 @@ from braidhom.errors import (
     PreconditionError,
     PresentationParseError,
 )
-from braidhom.exactlin import IntMatrix, QMat, cokernel_profile
+from braidhom.exactlin import IntMatrix, cokernel_profile
 from braidhom.presentations import (
     Character,
     CharacterTuple,
@@ -38,7 +38,12 @@ from braidhom.presentations import (
     validate_character,
     validate_matrix_rep,
 )
-from braidhom.verify import _adjoint_by_conjugation, _traceless_basis, _traceless_coords
+from braidhom.verify import (
+    _adjoint_by_conjugation,
+    _random_unimodular,
+    _traceless_basis,
+    _traceless_coords,
+)
 from braidhom.words import Word, free_reduce, generator_word
 from wordtools import commutator, exponent_sum
 
@@ -623,53 +628,56 @@ class TestCharacterTuple:
             product_character(p, Character(p.alphabet, 2))
 
 
-def _invertible(d):
-    """Invertible d x d rational matrices, int and Fraction entries mixed."""
-    entry = st.one_of(
-        st.integers(min_value=-6, max_value=6),
-        st.fractions(min_value=-4, max_value=4, max_denominator=6),
-    )
-    rows = st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
-    return rows.map(QMat).filter(lambda m: m.determinant() != 0)
+def _unimodular(d):
+    """Seeded d x d integer matrices of determinant +-1."""
+    return st.randoms(use_true_random=False).map(lambda rng: _random_unimodular(rng, d))
 
 
 class TestMatrixRep:
     def unipotents(self):
-        a = QMat([[1, 1], [0, 1]])
-        b = QMat([[1, 0], [2, 1]])
+        a = IntMatrix([[1, 1], [0, 1]])
+        b = IntMatrix([[1, 0], [2, 1]])
         return a, b
 
     def test_sl_flavor_enforces_determinant(self):
         p = free_presentation(1)
-        with pytest.raises(InputError):
-            MatrixRep(p.alphabet, [QMat([[2, 0], [0, 1]])], flavor="SL")
-        MatrixRep(p.alphabet, [QMat([[2, 0], [0, 1]])], flavor="GL")
+        flip = IntMatrix([[-1, 0], [0, 1]])
+        with pytest.raises(InputError, match="determinant 1, got -1"):
+            MatrixRep(p.alphabet, [flip], flavor="SL")
+        rep = MatrixRep(p.alphabet, [flip], flavor="GL")
+        assert rep.inverse_image(0) == flip
+        # GL is the integer matrices with an integral inverse
+        with pytest.raises(InputError, match="determinant 1 or -1, got 2"):
+            MatrixRep(p.alphabet, [IntMatrix([[2, 0], [0, 1]])], flavor="GL")
 
     def test_singular_rejected(self):
         p = free_presentation(1)
         with pytest.raises(InputError):
-            MatrixRep(p.alphabet, [QMat([[1, 0], [0, 0]])], flavor="GL")
+            MatrixRep(p.alphabet, [IntMatrix([[1, 0], [0, 0]])], flavor="GL")
+        for bad in ([IntMatrix([[1, 0]])], [[[1, 0], [0, 1]]]):
+            with pytest.raises(InputError):
+                MatrixRep(p.alphabet, bad, flavor="GL")
 
     def test_given_inverses_are_checked_and_kept(self):
         p = free_presentation(2)
         a, b = self.unipotents()
-        ainv, binv = QMat([[1, -1], [0, 1]]), QMat([[1, 0], [-2, 1]])
+        ainv, binv = IntMatrix([[1, -1], [0, 1]]), IntMatrix([[1, 0], [-2, 1]])
         rep = MatrixRep(p.alphabet, [a, b], inverses=[ainv, binv])
-        assert rep.inverse_image(0) == ainv and rep.inverse_image("b") == binv
-        assert rep.image("a") == a and rep.image(1) == b
-        for wrong in ([ainv, ainv], [ainv], [ainv, QMat.identity(3)]):
+        assert rep.inverse_image(0) == ainv and rep.inverse_image(1) == binv
+        assert rep.image(0) == a and rep.image(1) == b
+        for wrong in ([ainv, ainv], [ainv], [ainv, IntMatrix.identity(3)]):
             with pytest.raises(InputError):
                 MatrixRep(p.alphabet, [a, b], inverses=wrong)
         # the determinant check stays
         with pytest.raises(InputError, match="determinant"):
-            MatrixRep(p.alphabet, [a, QMat([[2, 0], [0, 1]])], inverses=[ainv, binv])
+            MatrixRep(p.alphabet, [a, IntMatrix([[2, 0], [0, 1]])], inverses=[ainv, binv])
 
     def test_word_value(self):
         p = free_presentation(2)
         a, b = self.unipotents()
         rep = MatrixRep(p.alphabet, [a, b])
         w = p.alphabet.parse_word("a b a^-1")
-        assert rep.word_value(w) == a * b * a.inverse()
+        assert rep.word_value(w) == a @ b @ a.inverse()
 
     def test_validate_commutator_relator(self):
         p = surface_presentation(1)
@@ -678,9 +686,12 @@ class TestMatrixRep:
         check = validate_matrix_rep(p, rep)
         assert not check
         assert check.failing_relator == p.relators[0]
-        diag = QMat([[Fraction(2), 0], [0, Fraction(1, 2)]])
-        diag2 = QMat([[Fraction(3), 0], [0, Fraction(1, 3)]])
-        assert validate_matrix_rep(p, MatrixRep(p.alphabet, [diag, diag2]))
+        # commuting GL images: a diagonal of determinant -1 and a power
+        # of a unipotent in the same torus
+        diag = IntMatrix([[-1, 0], [0, 1]])
+        diag2 = IntMatrix([[1, 0], [0, -1]])
+        assert validate_matrix_rep(p, MatrixRep(p.alphabet, [diag, diag2], flavor="GL"))
+        assert validate_matrix_rep(p, MatrixRep(p.alphabet, [a, a @ a @ a]))
 
     def test_verified_relators_cover_only_themselves(self, monkeypatch):
         # a rep that passed on surface:2 is checked in full against a
@@ -714,7 +725,7 @@ class TestMatrixRep:
         a, b = self.unipotents()
         ad = MatrixRep(p.alphabet, [a, b]).adjoint_rep()
         assert ad.dim == 3
-        assert ad.word_value(Word()) == QMat.identity(3)
+        assert ad.word_value(Word()) == IntMatrix.identity(3)
 
     def test_adjoint_multiplicative(self):
         p = free_presentation(2)
@@ -723,21 +734,19 @@ class TestMatrixRep:
         wa = p.alphabet.parse_word("a")
         wb = p.alphabet.parse_word("b")
         wab = p.alphabet.parse_word("a b")
-        assert ad.word_value(wab) == ad.word_value(wa) * ad.word_value(wb)
+        assert ad.word_value(wab) == ad.word_value(wa) @ ad.word_value(wb)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from([2, 3]).flatmap(_invertible))
+    @given(st.sampled_from([2, 3]).flatmap(_unimodular))
     def test_closed_form_adjoint_matches_conjugation(self, a):
         p = free_presentation(1)
         ad = MatrixRep(p.alphabet, [a], flavor="GL").adjoint_rep()
         image, inverse = ad.image(0), ad.inverse_image(0)
         assert image == _adjoint_by_conjugation(a, a.inverse())
         assert inverse == _adjoint_by_conjugation(a.inverse(), a)
-        one = QMat.identity(ad.dim)
-        assert image * inverse == one
-        assert inverse * image == one
-        for m in (image, inverse):
-            assert all(type(e) is int or e.denominator > 1 for r in m.rows for e in r)
+        one = IntMatrix.identity(ad.dim)
+        assert image @ inverse == one
+        assert inverse @ image == one
 
     def test_wrong_inverse_has_nonzero_trace(self):
         a, _ = self.unipotents()
@@ -749,10 +758,10 @@ class TestMatrixRep:
         for d in (2, 3):
             basis = _traceless_basis(d)
             assert len(basis) == d * d - 1
-            m = QMat.zeros(d)
-            coeffs = [Fraction(i + 1, 2) for i in range(d * d - 1)]
+            m = IntMatrix.zeros(d, d)
+            coeffs = [(-1) ** i * (i + 1) for i in range(d * d - 1)]
             for c, bmat in zip(coeffs, basis):
-                m = m + bmat * c
+                m = m + IntMatrix([[c * e for e in r] for r in bmat.rows])
             assert _traceless_coords(m) == coeffs
 
 
